@@ -64,8 +64,8 @@ class Gateway:
         self._tokens: dict[str, tuple[str, int, int]] = {}  # token -> (user, issued, expires)
         self._resources = dict(resources)
         self._token_lifetime = token_lifetime
-        self._call_log: list[dict] = []
-        self._observed: list[str] = []
+        # every invoke as received, with its outcome; call_log and assert_never_saw read it
+        self._log: list[dict] = []
 
     # -- account linking (OAuth-style, reduced to bearer tokens) -------------
 
@@ -87,20 +87,14 @@ class Gateway:
 
     def invoke(self, token: str | None, resource: str, action: str, payload, now: int) -> GatewayResponse:
         with self._lock:
-            self._observed.append(
-                json.dumps(
-                    {"token": token, "resource": resource, "action": action, "payload": payload},
-                    sort_keys=True,
-                    default=str,
-                )
-            )
             outcome, body = self._invoke_locked(token, resource, action, payload, now)
-            self._call_log.append(
+            self._log.append(
                 {
                     "timestamp": now,
-                    "token_presented": token is not None,
+                    "token": token,
                     "resource": resource,
                     "action": action,
+                    "payload": payload,
                     "outcome": outcome,
                 }
             )
@@ -127,7 +121,16 @@ class Gateway:
     @property
     def call_log(self) -> list[dict]:
         with self._lock:
-            return [dict(e) for e in self._call_log]
+            return [
+                {
+                    "timestamp": e["timestamp"],
+                    "token_presented": e["token"] is not None,
+                    "resource": e["resource"],
+                    "action": e["action"],
+                    "outcome": e["outcome"],
+                }
+                for e in self._log
+            ]
 
     def resource_value(self, resource: str):
         with self._lock:
@@ -138,7 +141,7 @@ class Gateway:
         if isinstance(pattern, bytes):
             pattern = pattern.decode("utf-8", errors="replace")
         with self._lock:
-            transcript = "\n".join(self._observed) + "\n" + json.dumps(self._call_log, default=str)
+            transcript = json.dumps(self._log, default=str)
         return pattern not in transcript
 
     # -- service face ----------------------------------------------------------

@@ -282,9 +282,6 @@ class Hub:
     def purge_expired(self, now: int) -> int:
         return self._cache.purge_expired(now)
 
-    def cache_size(self) -> int:
-        return len(self._cache)
-
     def session(self, session_id: str) -> GuestSession | None:
         with self._lock:
             return self._sessions.get(session_id)

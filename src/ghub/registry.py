@@ -40,6 +40,9 @@ KIND_GENESIS = "genesis"
 
 DID_TX_KINDS = (KIND_CREATE, KIND_UPDATE, KIND_REVOKE)
 
+# what parsing a malformed entry or block can raise
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError)
+
 
 class RegistryError(ServiceError):
     pass
@@ -195,20 +198,13 @@ class Registry:
     ) -> "Registry":
         """Start a fresh chain: genesis at height 0 encodes the admin key and members."""
         reg = cls(admin_key, chain_path)
-        seen = set()
-        for member in initial_members:
-            if member.public_key in seen:
-                raise RegistryError("DuplicateMember", f"duplicate member key for {member.label!r}")
-            seen.add(member.public_key)
-        entry = {
-            "kind": KIND_GENESIS,
-            "admin_key": b64(admin_key),
-            "members": [m.to_json() for m in initial_members],
-        }
-        with reg._lock:
-            reg._commit(entry)
-            for member in initial_members:
-                reg._members[member.public_key] = member.label
+        reg._append(
+            {
+                "kind": KIND_GENESIS,
+                "admin_key": b64(admin_key),
+                "members": [m.to_json() for m in initial_members],
+            }
+        )
         return reg
 
     @classmethod
@@ -216,92 +212,99 @@ class Registry:
         """Reload a persisted chain, verifying every hash and signature before serving."""
         path = Path(chain_path)
         lines = [ln for ln in path.read_bytes().split(b"\n") if ln]
-        if not lines:
-            raise RegistryError("CorruptChain", f"{path} is empty")
         try:
-            blocks = [LedgerBlock.from_json(parse(ln)) for ln in lines]
-            genesis = blocks[0].txs[0]
-            if genesis.get("kind") != KIND_GENESIS:
-                raise ValueError("block 0 is not a genesis block")
-            admin_key = unb64(genesis["admin_key"])
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            reg = cls._replay([LedgerBlock.from_json(parse(ln)) for ln in lines])
+        except RegistryError as exc:
+            raise RegistryError("CorruptChain", f"{path}: {exc.message}") from exc
+        except _MALFORMED as exc:
             raise RegistryError("CorruptChain", f"{path}: {exc}") from exc
-        reg = cls(admin_key, chain_path=None)
-        for block in blocks:
-            height = len(reg._blocks)
-            prev = reg._blocks[-1].block_hash if reg._blocks else GENESIS_PREV_HASH
-            if block.height != height or block.prev_hash != prev:
-                raise RegistryError("CorruptChain", f"{path}: broken link at height {height}")
-            if _block_hash(block.height, block.prev_hash, list(block.txs)) != block.block_hash:
-                raise RegistryError("CorruptChain", f"{path}: hash mismatch at height {height}")
-            for entry in block.txs:
-                if entry.get("kind") == KIND_GENESIS:
-                    if height != 0:
-                        raise RegistryError("CorruptChain", f"{path}: genesis at height {height}")
-                else:
-                    try:
-                        reg._validate_entry(entry)
-                    except RegistryError as exc:
-                        raise RegistryError(
-                            "CorruptChain", f"{path}: block {height}: {exc.message}"
-                        ) from exc
-                try:
-                    reg._apply_entry(entry)
-                except (RegistryError, ValueError, KeyError, TypeError) as exc:
-                    raise RegistryError("CorruptChain", f"{path}: block {height}: {exc}") from exc
-            reg._blocks.append(block)
         reg._chain_path = path
+        return reg
+
+    @classmethod
+    def _replay(cls, blocks: list[LedgerBlock]) -> "Registry":
+        """Rebuild a registry from raw blocks under the rules every append obeys.
+
+        Raises CorruptChain on a broken link, a hash mismatch, or an entry that
+        `_validate_entry` refuses. A block may hold several entries."""
+        try:
+            reg = cls(unb64(blocks[0].txs[0]["admin_key"]))
+        except (RegistryError, *_MALFORMED) as exc:
+            raise RegistryError("CorruptChain", f"block 0 names no admin key: {exc}") from exc
+        for height, block in enumerate(blocks):
+            try:
+                prev = reg._blocks[-1].block_hash if reg._blocks else GENESIS_PREV_HASH
+                if block.height != height or block.prev_hash != prev:
+                    raise RegistryError("CorruptChain", "broken link")
+                if _block_hash(height, prev, list(block.txs)) != block.block_hash:
+                    raise RegistryError("CorruptChain", "hash mismatch")
+                for entry in block.txs:
+                    reg._validate_entry(entry, sole=len(block.txs) == 1)
+                    reg._apply_entry(entry)
+            except (RegistryError, *_MALFORMED) as exc:
+                raise RegistryError("CorruptChain", f"block {height}: {exc}") from exc
+            reg._blocks.append(block)
         return reg
 
     # -- write path ----------------------------------------------------------
 
     def admit_member(self, admin_signature: bytes, new_member: MemberId) -> int:
         """Admit a member by admin signature over the canonical member bytes."""
-        entry = {
-            "kind": KIND_ADMIT,
-            "member": new_member.to_json(),
-            "admin_signature": b64(admin_signature),
-        }
-        with self._lock:
-            self._validate_entry(entry)
-            self._apply_entry(entry)
-            return self._commit(entry)
+        return self._append(
+            {
+                "kind": KIND_ADMIT,
+                "member": new_member.to_json(),
+                "admin_signature": b64(admin_signature),
+            }
+        )
 
     def submit(self, tx: RegistryTx) -> int:
         """Validate and commit one DID transaction; returns its block height."""
-        entry = tx.to_json()
-        with self._lock:
-            self._validate_entry(entry)
-            self._apply_entry(entry)
-            return self._commit(entry)
+        return self._append(tx.to_json())
 
-    def _commit(self, entry: dict) -> int:
-        height = len(self._blocks)
-        prev_hash = self._blocks[-1].block_hash if self._blocks else GENESIS_PREV_HASH
-        block = LedgerBlock(
-            height=height,
-            prev_hash=prev_hash,
-            txs=(entry,),
-            block_hash=_block_hash(height, prev_hash, [entry]),
-        )
-        self._blocks.append(block)
-        if self._chain_path is not None:
-            with open(self._chain_path, "ab") as fh:
-                fh.write(canonical_bytes(block.to_json()) + b"\n")
-                fh.flush()
-        return height
+    def _append(self, entry: dict) -> int:
+        """Validate one entry, persist it as the next block, and only then apply
+        it, so a failed write leaves state and blocks as they were."""
+        with self._lock:
+            self._validate_entry(entry, sole=True)
+            height = len(self._blocks)
+            prev_hash = self._blocks[-1].block_hash if self._blocks else GENESIS_PREV_HASH
+            block = LedgerBlock(height, prev_hash, (entry,), _block_hash(height, prev_hash, [entry]))
+            if self._chain_path is not None:
+                with open(self._chain_path, "ab") as fh:
+                    fh.write(canonical_bytes(block.to_json()) + b"\n")
+                    fh.flush()
+            self._apply_entry(entry)
+            self._blocks.append(block)
+            return height
 
     # -- validation ----------------------------------------------------------
 
-    def _validate_entry(self, entry: dict) -> None:
+    def _validate_entry(self, entry: dict, sole: bool) -> None:
+        """Every chain rule for one entry against the current state. `sole` says
+        the entry is alone in its block; height 0 holds exactly the genesis entry."""
+        if not isinstance(entry, dict):
+            raise RegistryError("MalformedTx", "an entry must be a JSON object")
         kind = entry.get("kind")
+        at_genesis = not self._blocks
+        if (kind == KIND_GENESIS) != at_genesis or (at_genesis and not sole):
+            raise RegistryError("MalformedTx", "the genesis entry appears alone at height 0, and only there")
         if kind == KIND_GENESIS:
-            raise RegistryError("MalformedTx", "genesis entries only appear at height 0")
+            try:
+                admin_key = unb64(entry["admin_key"])
+                keys = [MemberId.from_json(m).public_key for m in entry["members"]]
+            except _MALFORMED as exc:
+                raise RegistryError("MalformedTx", str(exc)) from exc
+            if admin_key != self.admin_key:
+                raise RegistryError("MalformedTx", "genesis names another admin key")
+            if len(set(keys)) != len(keys):
+                raise RegistryError("DuplicateMember", "genesis lists a member key twice")
+            return
         if kind == KIND_ADMIT:
             try:
                 member = MemberId.from_json(entry["member"])
                 signature = unb64(entry["admin_signature"])
-            except (KeyError, ValueError, TypeError) as exc:
+            except _MALFORMED as exc:
                 raise RegistryError("MalformedTx", str(exc)) from exc
             if not verify_signature(self.admin_key, signature, member_admission_bytes(member)):
                 raise RegistryError("BadAdminSignature", f"admission of {member.label!r} not signed by admin")
@@ -312,7 +315,7 @@ class Registry:
             raise RegistryError("MalformedTx", f"unknown tx kind {kind!r}")
         try:
             tx = RegistryTx.from_json(entry)
-        except (KeyError, ValueError, TypeError) as exc:
+        except _MALFORMED as exc:
             raise RegistryError("MalformedTx", str(exc)) from exc
         self._check_did_tx(tx)
 
@@ -374,8 +377,6 @@ class Registry:
         if kind == KIND_GENESIS:
             for m in entry["members"]:
                 member = MemberId.from_json(m)
-                if member.public_key in self._members:
-                    raise RegistryError("DuplicateMember", f"{member.label!r} appears twice in genesis")
                 self._members[member.public_key] = member.label
             return
         if kind == KIND_ADMIT:
@@ -439,63 +440,13 @@ class Registry:
 
 
 def verify_blocks(blocks: list[LedgerBlock]) -> bool:
-    """Chain verification over raw blocks (also used on reloaded/foreign chains)."""
+    """Chain verification over raw blocks (also used on reloaded/foreign chains):
+    True iff replaying them under the registry's own rules succeeds."""
     try:
-        if not blocks:
-            return False
-        admin_key = None
-        members: set[bytes] = set()
-        prev_hash = GENESIS_PREV_HASH
-        for i, block in enumerate(blocks):
-            if block.height != i or block.prev_hash != prev_hash:
-                return False
-            if _block_hash(block.height, block.prev_hash, list(block.txs)) != block.block_hash:
-                return False
-            for entry in block.txs:
-                kind = entry.get("kind")
-                if kind == KIND_GENESIS:
-                    if i != 0:
-                        return False
-                    admin_key = unb64(entry["admin_key"])
-                    for m in entry["members"]:
-                        members.add(MemberId.from_json(m).public_key)
-                elif kind == KIND_ADMIT:
-                    if admin_key is None:
-                        return False
-                    member = MemberId.from_json(entry["member"])
-                    if not verify_signature(
-                        admin_key, unb64(entry["admin_signature"]), member_admission_bytes(member)
-                    ):
-                        return False
-                    members.add(member.public_key)
-                elif kind in DID_TX_KINDS:
-                    tx = RegistryTx.from_json(entry)
-                    if tx.submitter.public_key not in members:
-                        return False
-                    if not verify_signature(
-                        tx.submitter.public_key, tx.submitter_signature, tx_signing_bytes(tx)
-                    ):
-                        return False
-                else:
-                    return False
-            if i == 0 and (len(block.txs) != 1 or block.txs[0].get("kind") != KIND_GENESIS):
-                return False
-            prev_hash = block.block_hash
-        return True
-    except Exception:
+        Registry._replay(blocks)
+    except RegistryError:
         return False
-
-
-def init_registry(
-    admin_key: bytes, initial_members: list[MemberId], chain_path: str | Path | None = None
-) -> Registry:
-    """Genesis a new registry; see Registry.create."""
-    return Registry.create(admin_key, initial_members, chain_path)
-
-
-def load_registry(chain_path: str | Path) -> Registry:
-    """Reload and fully verify a persisted chain; see Registry.load."""
-    return Registry.load(chain_path)
+    return True
 
 
 # ---------------------------------------------------------------------------

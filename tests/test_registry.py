@@ -1,10 +1,17 @@
+import hashlib
 import random
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ghub.canonical import canonical_bytes
 from ghub.identity import build_and_sign_guest_document, generate_keypair
 from ghub.registry import (
+    GENESIS_PREV_HASH,
     KIND_CREATE,
     KIND_REVOKE,
     KIND_UPDATE,
@@ -396,3 +403,144 @@ def test_concurrent_submits_all_commit(admin, alice):
     assert committed >= 4  # interleaving may stale-seq some, but commits happened
     assert len(set(heights)) == committed  # distinct blocks
     assert registry.verify_chain()
+
+
+def relinked(blocks):
+    """The blocks with heights, links and hashes recomputed, as a forger with
+    write access to the chain file would leave them."""
+    out, prev = [], GENESIS_PREV_HASH
+    for height, block in enumerate(blocks):
+        body = {"height": height, "prev_hash": prev, "txs": list(block.txs)}
+        prev = hashlib.sha256(canonical_bytes(body)).hexdigest()
+        out.append(LedgerBlock(height, body["prev_hash"], tuple(block.txs), prev))
+    return out
+
+
+def write_chain(path, blocks):
+    path.write_bytes(b"".join(canonical_bytes(b.to_json()) + b"\n" for b in blocks))
+    return path
+
+
+class TestOneValidator:
+    """A forged chain with consistent hashes is refused by load and verify_blocks alike."""
+
+    def test_resigned_stale_seq_refused(self, tmp_path, registry, alice):
+        for i in range(3):
+            _, tx = grant_tx(alice, seeded_keypair(20 + i), seq=i + 1)
+            registry.submit(tx)
+        blocks = registry.blocks
+        tx = RegistryTx.from_json(blocks[3].txs[0])
+        stale = signed_tx(tx.kind, tx.did, tx.payload, alice, "alice", 2)  # seq 2 is already spent
+        blocks[3] = LedgerBlock(3, "", (stale.to_json(),), "")
+        forged = relinked(blocks)
+        assert not verify_blocks(forged)
+        with pytest.raises(RegistryError) as err:
+            Registry.load(write_chain(tmp_path / "chain.ndjson", forged))
+        assert err.value.code == "CorruptChain"
+
+    @pytest.mark.parametrize("entry", [["create", "did:ghub:x"], "create", 7, None])
+    def test_non_object_tx_is_corrupt_chain(self, tmp_path, registry, alice, entry):
+        _, tx = grant_tx(alice, seeded_keypair(3), seq=1)
+        registry.submit(tx)
+        blocks = registry.blocks
+        blocks[1] = LedgerBlock(1, "", (entry,), "")
+        forged = relinked(blocks)
+        assert verify_blocks(forged) is False
+        with pytest.raises(RegistryError) as err:
+            Registry.load(write_chain(tmp_path / "chain.ndjson", forged))
+        assert err.value.code == "CorruptChain"
+
+    @pytest.mark.parametrize("blocks", [[], None, [None], ["block"]])
+    def test_verify_blocks_false_on_malformed_input(self, blocks):
+        assert verify_blocks(blocks) is False
+
+    def test_genesis_only_alone_at_height_zero(self, registry, alice):
+        genesis = registry.blocks[0].txs[0]
+        _, tx = grant_tx(alice, seeded_keypair(3), seq=1)
+        for txs in ([genesis, genesis], [genesis, tx.to_json()]):
+            assert not verify_blocks(relinked([LedgerBlock(0, "", tuple(txs), "")]))
+        assert not verify_blocks(relinked(registry.blocks + [registry.blocks[0]]))
+
+    def test_multi_tx_block_replays(self, registry, alice):
+        txs = [grant_tx(alice, seeded_keypair(20 + i), seq=i + 1)[1].to_json() for i in range(3)]
+        assert verify_blocks(relinked(registry.blocks + [LedgerBlock(1, "", tuple(txs), "")]))
+        txs[2] = txs[0]  # a replay inside the block is still refused
+        assert not verify_blocks(relinked(registry.blocks + [LedgerBlock(1, "", tuple(txs), "")]))
+
+    def test_failed_chain_write_changes_nothing(self, tmp_path, admin, alice):
+        path = tmp_path / "chain" / "chain.ndjson"
+        path.parent.mkdir()
+        reg = Registry.create(admin.public_key, [MemberId(alice.public_key, "alice")], chain_path=path)
+        path.unlink()
+        path.parent.rmdir()
+        before = reg.blocks
+        did, tx = grant_tx(alice, seeded_keypair(3), seq=1)
+        with pytest.raises(OSError):
+            reg.submit(tx)
+        assert reg.height == 0
+        assert reg.blocks == before
+        assert reg.resolve(did, NOW).status is ResolutionStatus.NOT_FOUND
+
+
+OWNERS = [seeded_keypair(40 + i) for i in range(3)]  # the first two are members from genesis
+GUESTS = [seeded_keypair(50 + i) for i in range(5)]
+OUTSIDER = seeded_keypair(60)
+# creates weigh most, so that a fair share of steps commit and chains grow past a few blocks
+OPS = ["create"] * 6 + ["update"] * 3 + ["revoke"] * 2 + ["admit", "forged", "stale", "outsider"]
+STEP = st.tuples(
+    st.sampled_from(OPS),
+    st.integers(0, len(OWNERS) - 1),
+    st.integers(0, len(GUESTS) - 1),
+    st.integers(1, 400),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(steps=st.lists(STEP, min_size=8, max_size=24))
+def test_reload_and_verify_agree_with_live_registry(steps):
+    """Valid and invalid submits on a persisted chain: the reloaded registry
+    resolves like the live one, its blocks verify, and a dropped or swapped
+    interior block does not."""
+    admin = seeded_keypair(9)
+    seqs = [0] * len(OWNERS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chain.ndjson"
+        reg = Registry.create(
+            admin.public_key, [MemberId(o.public_key, f"o{i}") for i, o in enumerate(OWNERS[:2])], path
+        )
+        for op, o, g, ttl in steps:
+            owner, label, guest = OWNERS[o], f"o{o}", GUESTS[g]
+            if op != "stale":  # a stale step reuses the owner's last seq
+                seqs[o] += 1
+            try:
+                if op == "admit":
+                    member = MemberId(owner.public_key, label)
+                    reg.admit_member(admin.sign(member_admission_bytes(member)), member)
+                elif op == "revoke":
+                    reg.submit(signed_tx(KIND_REVOKE, guest.did, None, owner, label, seqs[o]))
+                else:
+                    signer = OUTSIDER if op == "outsider" else owner
+                    kind = KIND_UPDATE if op == "update" else KIND_CREATE
+                    sdoc = build_and_sign_guest_document(
+                        signer, guest.public_key, ["iot:gw/a"], None, NOW + ttl, NOW
+                    )
+                    tx = signed_tx(kind, sdoc.document.id, sdoc, signer, label, seqs[o])
+                    if op == "forged":
+                        tx = RegistryTx(
+                            tx.kind, tx.did, tx.payload, tx.submitter, tx.seq + 1, tx.submitter_signature
+                        )
+                    reg.submit(tx)
+            except RegistryError:
+                pass
+        loaded = Registry.load(path)
+        assert loaded.height == reg.height
+        for guest in GUESTS:
+            for now in (NOW, NOW + 200, NOW + 500):
+                assert loaded.resolve(guest.did, now) == reg.resolve(guest.did, now)
+    blocks = reg.blocks
+    assert verify_blocks(blocks)
+    for i in range(1, len(blocks) - 1):
+        assert not verify_blocks(blocks[:i] + blocks[i + 1:])
+        swapped = list(blocks)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        assert not verify_blocks(swapped)

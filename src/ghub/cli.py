@@ -237,7 +237,7 @@ def cmd_serve(args) -> int:
     try:
         config = _load_config(args.config)
         host, _, port = config["listen"].rpartition(":")
-        _, dispatcher = _BUILDERS[args.role](config)
+        service, dispatcher = _BUILDERS[args.role](config)
         server = WireServer(dispatcher, host or "127.0.0.1", int(port)).start()
     except (OSError, KeyError, ValueError, ServiceError) as exc:
         return _fail(f"cannot start {args.role}: {exc}", 2)
@@ -247,6 +247,8 @@ def cmd_serve(args) -> int:
     print(f"{args.role} listening on {server.endpoint}", flush=True)
     stop.wait()
     server.stop()
+    if isinstance(service, Hub):
+        service.close()
     print(f"{args.role} stopped", flush=True)
     return 0
 

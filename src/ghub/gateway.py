@@ -13,6 +13,7 @@ import base64
 import hashlib
 import json
 import secrets
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -22,6 +23,8 @@ from .wire import Dispatcher, WireServer
 ACTIONS = ("read", "write", "actuate")
 TOKEN_BYTES = 32
 DEFAULT_TOKEN_LIFETIME = 3600
+# the fields of one transcript entry, in the order each tuple holds them
+_LOG_FIELDS = ("timestamp", "token", "resource", "action", "payload", "outcome")
 
 
 class BadCredentials(Exception):
@@ -39,6 +42,11 @@ class GatewayResponse:
 
     def to_json(self) -> dict:
         return {"status": self.status, "body": self.body}
+
+
+def _shared(value):
+    """One stored copy of a string that recurs across invokes (a token, a resource, an action)."""
+    return sys.intern(value) if type(value) is str else value
 
 
 def _hash_password(password: str, salt: bytes) -> str:
@@ -64,8 +72,9 @@ class Gateway:
         self._tokens: dict[str, tuple[str, int, int]] = {}  # token -> (user, issued, expires)
         self._resources = dict(resources)
         self._token_lifetime = token_lifetime
-        # every invoke as received, with its outcome; call_log and assert_never_saw read it
-        self._log: list[dict] = []
+        # every invoke as received, with its outcome, as one _LOG_FIELDS tuple;
+        # call_log and assert_never_saw read it
+        self._log: list[tuple] = []
 
     # -- account linking (OAuth-style, reduced to bearer tokens) -------------
 
@@ -88,16 +97,7 @@ class Gateway:
     def invoke(self, token: str | None, resource: str, action: str, payload, now: int) -> GatewayResponse:
         with self._lock:
             outcome, body = self._invoke_locked(token, resource, action, payload, now)
-            self._log.append(
-                {
-                    "timestamp": now,
-                    "token": token,
-                    "resource": resource,
-                    "action": action,
-                    "payload": payload,
-                    "outcome": outcome,
-                }
-            )
+            self._log.append((now, _shared(token), _shared(resource), _shared(action), payload, outcome))
         status = "OK" if outcome == "ok" else "Rejected"
         return GatewayResponse(status=status, body=body)
 
@@ -123,13 +123,13 @@ class Gateway:
         with self._lock:
             return [
                 {
-                    "timestamp": e["timestamp"],
-                    "token_presented": e["token"] is not None,
-                    "resource": e["resource"],
-                    "action": e["action"],
-                    "outcome": e["outcome"],
+                    "timestamp": timestamp,
+                    "token_presented": token is not None,
+                    "resource": resource,
+                    "action": action,
+                    "outcome": outcome,
                 }
-                for e in self._log
+                for timestamp, token, resource, action, _, outcome in self._log
             ]
 
     def resource_value(self, resource: str):
@@ -141,7 +141,7 @@ class Gateway:
         if isinstance(pattern, bytes):
             pattern = pattern.decode("utf-8", errors="replace")
         with self._lock:
-            transcript = json.dumps(self._log, default=str)
+            transcript = json.dumps([dict(zip(_LOG_FIELDS, entry)) for entry in self._log], default=str)
         return pattern not in transcript
 
     # -- service face ----------------------------------------------------------

@@ -33,7 +33,7 @@ from .identity import (
 )
 from .pdp import AccessDecision, PolicyRequest
 from .registry import RegistryClient, ResolutionStatus
-from .wire import Dispatcher, ServiceError, WireServer, request
+from .wire import ConnectionPool, Dispatcher, ServiceError, WireError, WireServer, request
 
 SOURCE_SIMPLE = "simple-document"
 SOURCE_DELEGATED = "delegated-pdp"
@@ -117,13 +117,18 @@ class DecisionCache:
 
 
 class Hub:
+    """The enforcement point. Its registry, PDP and gateway calls share one
+    pool of kept-alive connections, which `close` releases."""
+
     def __init__(self, config: HubConfig):
         self.config = config
+        self._pool = ConnectionPool()
         resolver = config.registry_endpoint
-        self._registry = RegistryClient(resolver) if isinstance(resolver, str) else resolver
+        self._registry = RegistryClient(resolver, pool=self._pool) if isinstance(resolver, str) else resolver
         self._cache = DecisionCache(config.cache_capacity)
         self._challenges: dict[str, tuple[Challenge, SignedDidDocument, int]] = {}
         self._sessions: dict[str, GuestSession] = {}
+        self._session_of: dict[str, str] = {}  # guest DID -> its one live session id
         self._nonces = NonceWindow()
         self._lock = threading.RLock()
         self._flights: dict[tuple, threading.Lock] = {}
@@ -160,7 +165,12 @@ class Hub:
             resolved_at_height=height,
         )
         with self._lock:
+            # one live session per guest: a new handshake ends the previous session
+            previous = self._session_of.get(did.render())
+            if previous is not None:
+                self._sessions.pop(previous, None)
             self._sessions[session.session_id] = session
+            self._session_of[did.render()] = session.session_id
         return session
 
     def _resolve_active(self, did: Did, now: int) -> tuple[SignedDidDocument, int]:
@@ -236,6 +246,7 @@ class Hub:
             replica_keys=self.config.pdp_replica_keys,
             timeout=self.config.pdp_timeout,
             default_ttl=self.config.default_ttl,
+            pool=self._pool,
         )
         valid_until = min(decision.valid_until, doc.not_after)
         return AccessDecision(decision.granted, valid_until, SOURCE_DELEGATED, decision.detail)
@@ -260,8 +271,9 @@ class Hub:
                 "gateway.invoke",
                 {"token": link.token, "resource": resource, "action": action, "payload": payload, "now": now},
                 timeout=self.config.pdp_timeout,
+                pool=self._pool,
             )
-        except (ConnectionRefusedError, TimeoutError) as exc:
+        except (OSError, WireError) as exc:
             raise HubError("GatewayUnreachable", str(exc)) from exc
         except ServiceError as exc:
             raise HubError("GatewayUnreachable", f"{exc.code}: {exc.message}") from exc
@@ -297,7 +309,13 @@ class Hub:
 
     def _drop_session(self, session_id: str) -> None:
         with self._lock:
-            self._sessions.pop(session_id, None)
+            sess = self._sessions.pop(session_id, None)
+            if sess is not None and self._session_of.get(sess.guest_did.render()) == session_id:
+                del self._session_of[sess.guest_did.render()]
+
+    def close(self) -> None:
+        """Close the kept-alive connections."""
+        self._pool.close()
 
     def _flight(self, key: tuple) -> threading.Lock:
         # per-key single flight: concurrent identical misses do one fan-out

@@ -11,14 +11,17 @@ deny votes, and ties deny.
 from __future__ import annotations
 
 import hashlib
+import queue
 import re
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
 
 from .canonical import canonical_bytes, parse as parse_json
 from .identity import Keypair, b64, unb64, verify_signature
 from .wire import (
+    ConnectionPool,
     Dispatcher,
     PolicyUri,
     ServiceError,
@@ -417,6 +420,53 @@ def aggregate(
     return AccessDecision(False, now, "delegated-pdp", detail)
 
 
+class _Fanout:
+    """Runs every vote at once, on an idle worker thread if there is one and
+    on a new thread if not. A vote never waits behind busy workers, so hung
+    replicas named by one policy cannot delay the votes of another. A worker
+    left idle for `idle_seconds` exits."""
+
+    def __init__(self, idle_seconds: float):
+        self._idle_seconds = idle_seconds
+        self._idle: list[queue.SimpleQueue] = []  # one inbox per idle worker, most recent last
+        self._lock = threading.Lock()
+
+    def submit(self, fn, arg) -> Future:
+        future = Future()
+        task = (future, fn, arg)
+        with self._lock:
+            inbox = self._idle.pop() if self._idle else None
+        if inbox is None:
+            threading.Thread(target=self._work, args=(task,), name="pdp-fanout", daemon=True).start()
+        else:
+            inbox.put(task)
+        return future
+
+    def _work(self, task) -> None:
+        inbox = queue.SimpleQueue()
+        while True:
+            future, fn, arg = task
+            future.set_running_or_notify_cancel()
+            result = fn(arg)  # a vote turns every failure into a deny entry
+            # idle again before the result is out, so a caller's next vote finds this worker
+            with self._lock:
+                self._idle.append(inbox)
+            future.set_result(result)
+            try:
+                task = inbox.get(timeout=self._idle_seconds)
+            except queue.Empty:
+                with self._lock:
+                    if inbox in self._idle:
+                        self._idle.remove(inbox)
+                        return
+                task = inbox.get()  # a vote was handed over as the wait ran out
+
+
+# idle as long as decide's default deadline: steady traffic keeps its workers,
+# and the extra threads of a burst are gone soon after its votes
+_FANOUT = _Fanout(idle_seconds=5.0)
+
+
 def decide(
     policy_uri: PolicyUri | str,
     req: PolicyRequest,
@@ -424,18 +474,22 @@ def decide(
     timeout: float = 5.0,
     *,
     default_ttl: int = DEFAULT_GRANT_TTL,
+    pool: ConnectionPool | None = None,
 ) -> AccessDecision:
     """Fan out to every replica endpoint concurrently and aggregate the votes.
 
-    The caller sees a single call returning a single decision; replicas that
-    time out, refuse connections, or answer garbage become deny votes.
+    The caller sees a single call returning a single decision within
+    `timeout`; replicas that time out, refuse connections, or answer garbage
+    become deny votes, and so does a vote still running at the deadline.
+    Votes run on long-lived fan-out threads. A long-lived caller passes a
+    connection pool; without one, each vote opens its own connection.
     """
     uri = parse_policy_uri(policy_uri) if isinstance(policy_uri, str) else policy_uri
     body = {"policy_id": uri.policy_id, "request": req.to_json()}
 
     def ask(endpoint: str):
         try:
-            reply = request(endpoint, "pdp.evaluate", body, timeout=timeout)
+            reply = request(endpoint, "pdp.evaluate", body, timeout=timeout, pool=pool)
             return PolicyVerdict.from_json(reply)
         except ServiceError as exc:
             return ReplicaFailure(endpoint, f"error:{exc.code}")
@@ -446,8 +500,13 @@ def decide(
         except Exception as exc:
             return ReplicaFailure(endpoint, f"malformed:{type(exc).__name__}")
 
-    with ThreadPoolExecutor(max_workers=len(uri.endpoints)) as pool:
-        entries = list(pool.map(ask, uri.endpoints))
+    futures = [_FANOUT.submit(ask, endpoint) for endpoint in uri.endpoints]
+    wait(futures, timeout=timeout)
+    # a vote still running at the deadline is a timeout deny
+    entries = [
+        future.result() if future.done() else ReplicaFailure(endpoint, "timeout")
+        for endpoint, future in zip(uri.endpoints, futures)
+    ]
 
     return aggregate(
         entries,

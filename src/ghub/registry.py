@@ -12,10 +12,12 @@ checkable here rather than on trust.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import BinaryIO, Iterable, Iterator
 
 from .canonical import canonical_bytes, parse
 from .identity import (
@@ -28,7 +30,7 @@ from .identity import (
     unb64,
     verify_signature,
 )
-from .wire import Dispatcher, ServiceError, request
+from .wire import ConnectionPool, Dispatcher, ServiceError, request
 
 GENESIS_PREV_HASH = "0" * 64
 
@@ -159,6 +161,14 @@ class LedgerBlock:
         )
 
 
+def _lines(fh: BinaryIO) -> Iterator[bytes]:
+    """The non-empty newline-separated lines of a chain file, newlines removed."""
+    for line in fh:
+        line = line.rstrip(b"\n")
+        if line:
+            yield line
+
+
 def _block_hash(height: int, prev_hash: str, txs: list[dict]) -> str:
     body = canonical_bytes({"height": height, "prev_hash": prev_hash, "txs": txs})
     return hashlib.sha256(body).hexdigest()
@@ -211,9 +221,10 @@ class Registry:
     def load(cls, chain_path: str | Path) -> "Registry":
         """Reload a persisted chain, verifying every hash and signature before serving."""
         path = Path(chain_path)
-        lines = [ln for ln in path.read_bytes().split(b"\n") if ln]
         try:
-            reg = cls._replay([LedgerBlock.from_json(parse(ln)) for ln in lines])
+            with open(path, "rb") as fh:
+                # one line at a time: only the replayed registry's own blocks stay in memory
+                reg = cls._replay(LedgerBlock.from_json(parse(ln)) for ln in _lines(fh))
         except RegistryError as exc:
             raise RegistryError("CorruptChain", f"{path}: {exc.message}") from exc
         except _MALFORMED as exc:
@@ -222,16 +233,19 @@ class Registry:
         return reg
 
     @classmethod
-    def _replay(cls, blocks: list[LedgerBlock]) -> "Registry":
-        """Rebuild a registry from raw blocks under the rules every append obeys.
+    def _replay(cls, blocks: Iterable[LedgerBlock]) -> "Registry":
+        """Rebuild a registry from raw blocks, read once in order, under the
+        rules every append obeys.
 
         Raises CorruptChain on a broken link, a hash mismatch, or an entry that
         `_validate_entry` refuses. A block may hold several entries."""
         try:
-            reg = cls(unb64(blocks[0].txs[0]["admin_key"]))
+            blocks = iter(blocks)
+            first = next(blocks, None)
+            reg = cls(unb64(first.txs[0]["admin_key"]))
         except (RegistryError, *_MALFORMED) as exc:
             raise RegistryError("CorruptChain", f"block 0 names no admin key: {exc}") from exc
-        for height, block in enumerate(blocks):
+        for height, block in enumerate(itertools.chain([first], blocks)):
             try:
                 prev = reg._blocks[-1].block_hash if reg._blocks else GENESIS_PREV_HASH
                 if block.height != height or block.prev_hash != prev:
@@ -488,13 +502,14 @@ def registry_dispatcher(registry: Registry) -> Dispatcher:
 class RegistryClient:
     """Wire-backed registry access with the same read/write face as Registry."""
 
-    def __init__(self, endpoint: str, timeout: float = 5.0):
+    def __init__(self, endpoint: str, timeout: float = 5.0, pool: ConnectionPool | None = None):
         self.endpoint = endpoint
         self.timeout = timeout
+        self._pool = pool
 
     def _request(self, op: str, body: dict):
         try:
-            return request(self.endpoint, op, body, timeout=self.timeout)
+            return request(self.endpoint, op, body, timeout=self.timeout, pool=self._pool)
         except ServiceError as exc:
             raise RegistryError(exc.code, exc.message) from exc
 

@@ -5,6 +5,10 @@ same call contract so integration tests run without sockets.
 An envelope is {"id","op","body","version"}; the id is echoed verbatim in
 the response, and an unknown op yields a structured error, never a dropped
 connection. Frames are capped at 1 MiB including the trailing newline.
+
+A TCP call opens a connection and closes it after the reply, unless the
+caller passes a ConnectionPool: a long-lived caller of its own back ends
+(the hub) keeps one connection to each alive in one.
 """
 
 from __future__ import annotations
@@ -195,8 +199,8 @@ class _FrameHandler(socketserver.StreamRequestHandler):
                 line = self.rfile.readline(MAX_FRAME + 1)
             except (ConnectionError, OSError):
                 return
-            if not line:
-                return
+            if not line or self.server.stopping:  # type: ignore[attr-defined]
+                return  # a stopped server answers no request read after its stop
             if len(line) > MAX_FRAME:
                 self._reply(Envelope(id="", op="", body=_error_body("FrameTooLarge", "frame exceeds 1 MiB")))
                 return  # cannot resync inside an oversize line; drop the connection
@@ -222,6 +226,40 @@ class _FrameHandler(socketserver.StreamRequestHandler):
 class _TcpServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self.stopping = False
+        self._open: set[socket.socket] = set()
+        self._open_changed = threading.Condition()
+
+    def process_request(self, request, client_address):
+        with self._open_changed:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self._open_changed:
+            self._open.discard(request)
+            self._open_changed.notify_all()
+
+    def end_connections(self, timeout: float) -> None:
+        """Close every accepted connection, waiting up to `timeout` for the
+        handlers. Handler threads are daemons, which server_close does not
+        join. Only the read side is shut: that ends a handler's blocked read
+        of an idle connection, and a handler mid-request still writes its
+        reply, then reads no further request."""
+        with self._open_changed:
+            self.stopping = True
+            open_now = list(self._open)
+        for sock in open_now:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        with self._open_changed:
+            self._open_changed.wait_for(lambda: not self._open, timeout)
 
 
 class WireServer:
@@ -252,6 +290,7 @@ class WireServer:
 
     def stop(self) -> None:
         self._server.shutdown()
+        self._server.end_connections(timeout=5)
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
@@ -264,13 +303,17 @@ class WireServer:
         self.stop()
 
 
+def _remaining(deadline: float) -> float:
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise TimeoutError("timed out waiting for response frame")
+    return remaining
+
+
 def _read_frame(sock: socket.socket, deadline: float) -> bytes:
     buf = bytearray()
     while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise TimeoutError("timed out waiting for response frame")
-        sock.settimeout(remaining)
+        sock.settimeout(_remaining(deadline))
         try:
             chunk = sock.recv(65536)
         except socket.timeout as exc:
@@ -284,35 +327,118 @@ def _read_frame(sock: socket.socket, deadline: float) -> bytes:
             return bytes(buf)
 
 
-def call(endpoint: str, envelope: Envelope, timeout: float = 5.0) -> Envelope:
-    """Send one envelope and return the correlated response.
-
-    Raises TimeoutError, ConnectionRefusedError, or ProtocolError (id
-    mismatch, malformed response). Endpoints are "host:port" or "local:name".
-    """
-    if timeout <= 0:
-        raise ValueError("timeout must be positive")
-    if endpoint.startswith(LOCAL_PREFIX):
-        response = _local_call(endpoint[len(LOCAL_PREFIX):], envelope, timeout)
-    else:
-        host, _, port_text = endpoint.rpartition(":")
-        if not host or not port_text.isdigit():
-            raise ValueError(f"endpoint must be host:port or local:name, got {endpoint!r}")
-        deadline = time.monotonic() + timeout
-        try:
-            with socket.create_connection((host, int(port_text)), timeout=timeout) as sock:
-                sock.sendall(encode_frame(envelope))
-                response = decode_frame(_read_frame(sock, deadline))
-        except socket.timeout as exc:
-            raise TimeoutError(f"no response from {endpoint} within {timeout}s") from exc
+def _matched(envelope: Envelope, response: Envelope) -> Envelope:
     if response.id != envelope.id:
         raise ProtocolError(f"response id {response.id!r} does not match request {envelope.id!r}")
     return response
 
 
-def request(endpoint: str, op: str, body: Any, timeout: float = 5.0) -> Any:
+def _exchange(sock: socket.socket, envelope: Envelope, deadline: float) -> Envelope:
+    """Send one request on a connected socket and read its correlated response."""
+    frame = encode_frame(envelope)
+    sock.settimeout(_remaining(deadline))
+    sock.sendall(frame)
+    return _matched(envelope, decode_frame(_read_frame(sock, deadline)))
+
+
+def _address(endpoint: str) -> tuple[str, int]:
+    host, _, port_text = endpoint.rpartition(":")
+    if not host or not port_text.isdigit():
+        raise ValueError(f"endpoint must be host:port or local:name, got {endpoint!r}")
+    return host, int(port_text)
+
+
+class ConnectionPool:
+    """Kept-alive TCP connections: at most one idle socket per endpoint.
+
+    Each socket is handed to one caller at a time. A caller that finds its
+    endpoint's socket in use connects afresh, and that surplus socket is
+    closed after the reply unless the endpoint's slot is empty again. A
+    socket that saw any error or timeout is closed, never returned, so a late
+    reply cannot be read as the next call's answer; an idle socket that
+    became readable (the peer closed it) is dropped before anything is sent
+    on it. A request once written is never resent.
+    """
+
+    def __init__(self):
+        self._idle: dict[tuple[str, int], socket.socket] = {}
+        self._closed = False
+        self._lock = threading.Lock()
+
+    def call(self, address: tuple[str, int], envelope: Envelope, deadline: float) -> Envelope:
+        sock = self._checkout(address)
+        if sock is None:
+            sock = socket.create_connection(address, timeout=_remaining(deadline))
+        try:
+            response = _exchange(sock, envelope, deadline)
+        except BaseException:
+            sock.close()
+            raise
+        self._checkin(address, sock)
+        return response
+
+    def _checkout(self, address: tuple[str, int]) -> socket.socket | None:
+        with self._lock:
+            sock = self._idle.pop(address, None)
+        if sock is None or _quiet(sock):
+            return sock
+        sock.close()
+        return None
+
+    def _checkin(self, address: tuple[str, int], sock: socket.socket) -> None:
+        with self._lock:
+            if not self._closed and address not in self._idle:
+                self._idle[address] = sock
+                return
+        sock.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            idle = list(self._idle.values())
+            self._idle.clear()
+        for sock in idle:
+            sock.close()
+
+
+def _quiet(sock: socket.socket) -> bool:
+    """True iff nothing is waiting on an idle socket: no unasked-for bytes and no close."""
+    sock.setblocking(False)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return True
+    except OSError:
+        pass
+    return False
+
+
+def call(endpoint: str, envelope: Envelope, timeout: float = 5.0, pool: ConnectionPool | None = None) -> Envelope:
+    """Send one envelope and return the correlated response.
+
+    Raises TimeoutError, ConnectionRefusedError, or ProtocolError (id
+    mismatch, malformed response). Endpoints are "host:port" or "local:name".
+    Without a pool, a TCP call opens a connection and closes it after the
+    reply; with one, it borrows a kept-alive connection to the endpoint.
+    """
+    if timeout <= 0:
+        raise ValueError("timeout must be positive")
+    if endpoint.startswith(LOCAL_PREFIX):
+        return _matched(envelope, _local_call(endpoint[len(LOCAL_PREFIX):], envelope, timeout))
+    address = _address(endpoint)
+    deadline = time.monotonic() + timeout
+    try:
+        if pool is not None:
+            return pool.call(address, envelope, deadline)
+        with socket.create_connection(address, timeout=timeout) as sock:
+            return _exchange(sock, envelope, deadline)
+    except socket.timeout as exc:
+        raise TimeoutError(f"no response from {endpoint} within {timeout}s") from exc
+
+
+def request(endpoint: str, op: str, body: Any, timeout: float = 5.0, pool: ConnectionPool | None = None) -> Any:
     """Convenience wrapper: fresh correlation id, error bodies raised as ServiceError."""
-    response = call(endpoint, Envelope.request(op, body), timeout=timeout)
+    response = call(endpoint, Envelope.request(op, body), timeout=timeout, pool=pool)
     if isinstance(response.body, dict) and "error" in response.body:
         err = response.body["error"]
         raise ServiceError(str(err.get("code", "Unknown")), str(err.get("message", "")))

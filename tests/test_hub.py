@@ -3,10 +3,12 @@ import time
 
 import pytest
 
-from ghub.hub import DecisionCache, GatewayLink, HubConfig, HubError
+from ghub.gateway import serve_gateway
+from ghub.hub import DecisionCache, GatewayLink, Hub, HubConfig, HubError
 from ghub.identity import make_challenge, respond_to_challenge
 from ghub.pdp import AccessDecision, parse_policy
-from ghub.registry import signed_tx
+from ghub.registry import registry_dispatcher, signed_tx
+from ghub.wire import WireServer
 from helpers import (
     NOW,
     allow_all_rule,
@@ -399,3 +401,54 @@ def test_hub_purge_expired():
 def test_cache_capacity_validation():
     with pytest.raises(ValueError):
         HubConfig(hub_id="h", registry_endpoint=None, known_owners={}, cache_capacity=0)
+
+
+class TestSessions:
+    def test_new_handshake_ends_the_previous_session(self):
+        with build_simple_world() as world:
+            first = authenticate(world)
+            second = authenticate(world)
+            with pytest.raises(HubError) as err:
+                world.hub.access(first.session_id, "iot:hue/light1", "read", None, NOW)
+            assert err.value.code == "UnknownSession"
+            assert world.hub.session(first.session_id) is None
+            body, _ = world.hub.access(second.session_id, "iot:hue/light1", "read", None, NOW)
+            assert body["status"] == "OK"
+
+    def test_revoked_guest_keeps_its_session_and_is_denied(self):
+        with build_simple_world() as world:
+            session = authenticate(world)
+            world.owner.revoke(world.registry, world.guest_did)
+            with pytest.raises(HubError) as err:
+                world.hub.access(session.session_id, "iot:hue/light1", "read", None, NOW)
+            assert err.value.code == "Denied" and "DocumentRevoked" in err.value.message
+            assert world.gateway.call_log == []
+
+
+def test_hub_over_tcp_reuses_its_backend_connections():
+    with build_simple_world() as world:
+        registry_server = WireServer(registry_dispatcher(world.registry)).start()
+        gateway_server = serve_gateway(world.gateway)
+        hub = Hub(
+            HubConfig(
+                hub_id="hub-tcp",
+                registry_endpoint=registry_server.endpoint,
+                known_owners=world.hub.config.known_owners,
+                gateway_links={"hue": GatewayLink(gateway_server.endpoint, world.token)},
+            )
+        )
+        try:
+            challenge = hub.begin_auth(world.guest_did, NOW)
+            session = hub.complete_auth(world.guest_did, respond_to_challenge(challenge, world.guest), NOW)
+            for n in range(3):
+                body, _ = hub.access(session.session_id, "iot:hue/light1", "write", f"v{n}", NOW)
+                assert body["status"] == "OK"
+            assert world.gateway.resource_value("iot:hue/light1") == "v2"
+            # one kept-alive connection to each back end served every call
+            assert len(hub._pool._idle) == 2
+        finally:
+            hub.close()
+            started = time.monotonic()
+            registry_server.stop()
+            gateway_server.stop()
+            assert time.monotonic() - started < 3

@@ -1,4 +1,8 @@
 import random
+import sys
+import threading
+import time
+from concurrent.futures import wait
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from ghub.pdp import (
     PolicyRequest,
     PolicyVerdict,
     ReplicaFailure,
+    _Fanout,
     aggregate,
     decide,
     evaluate,
@@ -19,7 +24,7 @@ from ghub.pdp import (
     serve_replica,
     verify_verdict,
 )
-from ghub.wire import ServiceError, request, unregister_local
+from ghub.wire import ConnectionPool, Dispatcher, ServiceError, request, unregister_local
 from helpers import (
     NOW,
     LyingReplica,
@@ -406,3 +411,77 @@ class TestDecide:
         finally:
             for name in names:
                 unregister_local(name)
+
+
+class TestLongLivedFanout:
+    def test_hung_policy_does_not_delay_a_healthy_one(self):
+        release = threading.Event()
+        hung = [unique_local(Dispatcher({"pdp.evaluate": lambda b: release.wait(10)}), "hung") for _ in range(3)]
+        hung_uri = f"pdp://{','.join(e for _, e in hung)}/p?consensus=majority"
+        replicas, names, endpoints, keys = make_replicas(3, allow_all_rule("p", ttl=300))
+        healthy_uri = f"pdp://{','.join(endpoints)}/p?consensus=majority"
+        hung_results = []
+
+        def decide_hung():
+            started = time.monotonic()
+            decision = decide(hung_uri, req(), {}, timeout=1.0)
+            hung_results.append((decision, time.monotonic() - started))
+
+        # four decisions hold twelve hung votes at once
+        deciders = [threading.Thread(target=decide_hung) for _ in range(4)]
+        try:
+            for t in deciders:
+                t.start()
+            time.sleep(0.1)
+            # a vote queued behind the hung ones would miss this shorter deadline and deny
+            decision = decide(healthy_uri, req(), keys, timeout=0.5)
+            assert decision.granted and decision.valid_until == NOW + 300
+            for t in deciders:
+                t.join(timeout=5)
+            assert not any(t.is_alive() for t in deciders) and len(hung_results) == 4
+            for decision, elapsed in hung_results:
+                assert not decision.granted and decision.detail.count(":timeout") == 3
+                assert elapsed < 2.0
+        finally:
+            release.set()
+            for name in names + [name for name, _ in hung]:
+                unregister_local(name)
+
+    def test_fanout_runs_every_task_once_under_contention(self):
+        # a short idle limit makes workers expire while votes are handed to them
+        fanout = _Fanout(idle_seconds=0.001)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def submitter(base):
+            futures = [fanout.submit(lambda n: n * n, base + n) for n in range(100)]
+            wait(futures, timeout=10)
+            results.append([f.result() for f in futures if f.done()])
+
+        try:
+            threads = [threading.Thread(target=submitter, args=(1000 * k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=20)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(x for batch in results for x in batch) == sorted((1000 * k + n) ** 2 for k in range(6) for n in range(100))
+
+    def test_pooled_fanout_over_tcp(self):
+        rule = allow_all_rule("p", ttl=300)
+        replicas = [PdpReplica(f"r{i}", seeded_keypair(60 + i), {"p": rule}) for i in range(3)]
+        servers = [serve_replica(r) for r in replicas]
+        keys = {r.replica_id: r.key.public_key for r in replicas}
+        uri = f"pdp://{','.join(s.endpoint for s in servers)}/p?consensus=majority"
+        pool = ConnectionPool()
+        try:
+            for now in (NOW, NOW + 1):
+                decision = decide(uri, req(now=now), keys, timeout=2, pool=pool)
+                assert decision.granted and decision.valid_until == now + 300
+        finally:
+            pool.close()
+            for server in servers:
+                server.stop()

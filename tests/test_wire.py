@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ghub.wire import (
     MAX_FRAME,
+    ConnectionPool,
     Dispatcher,
     Envelope,
     FrameTooLarge,
@@ -209,6 +210,143 @@ class TestTcpTransport:
             for t in threads:
                 t.join()
             assert sorted(results) == list(range(8))
+
+
+def thread_name(_body):
+    # a server runs each connection on its own thread, so the name tells connections apart
+    return threading.current_thread().name
+
+
+class TestConnectionPool:
+    def test_pooled_calls_share_one_connection(self):
+        pool = ConnectionPool()
+        try:
+            with WireServer(Dispatcher({"who": thread_name})) as server:
+                pooled = {request(server.endpoint, "who", {}, pool=pool) for _ in range(5)}
+                one_shot = {request(server.endpoint, "who", {}) for _ in range(2)}
+            assert len(pooled) == 1
+            assert len(one_shot) == 2 and not one_shot & pooled
+        finally:
+            pool.close()
+
+    def test_timed_out_socket_is_not_reused(self):
+        def slow(_body):
+            time.sleep(0.5)
+            return "late"
+
+        pool = ConnectionPool()
+        try:
+            with WireServer(Dispatcher({"slow": slow, "echo": lambda body: body})) as server:
+                with pytest.raises(TimeoutError):
+                    request(server.endpoint, "slow", {}, timeout=0.1, pool=pool)
+                # on the timed-out socket this would read the late reply first
+                assert request(server.endpoint, "echo", {"n": 2}, timeout=2, pool=pool) == {"n": 2}
+        finally:
+            pool.close()
+
+    def test_error_reply_socket_is_not_reused(self):
+        lis = socket.socket()
+        lis.bind(("127.0.0.1", 0))
+        lis.listen(2)
+        port = lis.getsockname()[1]
+        accepted = []
+
+        def rogue():
+            # answers its first connection with a wrong id, then serves honestly
+            for wrong in (True, False):
+                conn, _ = lis.accept()
+                accepted.append(conn)
+                data = conn.recv(65536)
+                envelope = decode_frame(data)
+                reply = Envelope(id="wrong", op="echo", body={}) if wrong else envelope.reply(envelope.body)
+                conn.sendall(encode_frame(reply))
+
+        thread = threading.Thread(target=rogue, daemon=True)
+        thread.start()
+        pool = ConnectionPool()
+        try:
+            with pytest.raises(ProtocolError):
+                request(f"127.0.0.1:{port}", "echo", {"n": 1}, timeout=2, pool=pool)
+            assert request(f"127.0.0.1:{port}", "echo", {"n": 2}, timeout=2, pool=pool) == {"n": 2}
+            thread.join(timeout=5)
+            assert not thread.is_alive() and len(accepted) == 2
+        finally:
+            pool.close()
+            lis.close()
+            for conn in accepted:
+                conn.close()
+
+    def test_restarted_backend_is_reached_on_a_fresh_connection(self):
+        pool = ConnectionPool()
+        server = WireServer(Dispatcher({"who": lambda b: "first"})).start()
+        endpoint, port = server.endpoint, server.port
+        try:
+            assert request(endpoint, "who", {}, pool=pool) == "first"
+            server.stop()
+            server = WireServer(Dispatcher({"who": lambda b: "second"}), port=port).start()
+            assert request(endpoint, "who", {}, timeout=2, pool=pool) == "second"
+        finally:
+            server.stop()
+            pool.close()
+
+    def test_stop_returns_while_a_pooled_connection_is_idle(self):
+        pool = ConnectionPool()
+        server = WireServer(echo_dispatcher()).start()
+        try:
+            assert request(server.endpoint, "echo", {"n": 1}, pool=pool) == {"n": 1}
+            stopper = threading.Thread(target=server.stop, daemon=True)
+            started = time.monotonic()
+            stopper.start()
+            stopper.join(timeout=5)
+            assert not stopper.is_alive() and time.monotonic() - started < 2
+            with pytest.raises(ConnectionRefusedError):
+                request(server.endpoint, "echo", {"n": 2}, timeout=2, pool=pool)
+        finally:
+            pool.close()
+
+    def test_stop_lets_a_request_in_flight_finish(self):
+        def slow(body):
+            time.sleep(1.0)  # still running when stop, after its up to 0.5 s poll, shuts connections
+            return body
+
+        server = WireServer(Dispatcher({"slow": slow})).start()
+        replies = []
+        caller = threading.Thread(target=lambda: replies.append(request(server.endpoint, "slow", {"n": 1}, timeout=3)))
+        caller.start()
+        time.sleep(0.1)
+        server.stop()
+        caller.join(timeout=5)
+        assert replies == [{"n": 1}]
+
+    def test_one_idle_connection_is_kept_per_endpoint(self):
+        callers = 3
+        barrier = threading.Barrier(callers, timeout=5)
+
+        def gather(body):
+            barrier.wait()  # hold every caller on its own connection at once
+            return thread_name(body)
+
+        pool = ConnectionPool()
+        try:
+            with WireServer(Dispatcher({"who": gather})) as server:
+                names = []
+                threads = [
+                    threading.Thread(target=lambda: names.append(request(server.endpoint, "who", {}, pool=pool)))
+                    for _ in range(callers)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=5)
+                assert not any(t.is_alive() for t in threads) and len(set(names)) == callers
+                address = ("127.0.0.1", server.port)
+                kept = [pool._checkout(address) for _ in range(callers)]
+                assert sum(sock is not None for sock in kept) == 1
+                for sock in kept:
+                    if sock is not None:
+                        sock.close()
+        finally:
+            pool.close()
 
 
 class TestPolicyUri:

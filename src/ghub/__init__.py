@@ -40,15 +40,17 @@ from .pdp import (
     PdpReplica,
     PolicyRequest,
     PolicyRule,
+    PolicyUri,
     PolicyVerdict,
     aggregate,
     decide,
     evaluate,
     parse_policy,
+    parse_policy_uri,
 )
 from .hub import GatewayLink, GuestSession, Hub, HubConfig, HubError
 from .gateway import Gateway, GatewayResponse
-from .wire import Envelope, PolicyUri, ServiceError, WireServer, parse_policy_uri
+from .wire import Envelope, ServiceError, WireServer
 
 __version__ = "0.1.0"
 

@@ -30,16 +30,6 @@ CRYPTO_BUDGET_MS = 25.0
 SERVICE_BUDGET_MS = 50.0
 LEDGER_COMMIT_REFERENCE_MS = 2500.0
 
-BENCH_OPS = (
-    "sign",
-    "verify",
-    "challenge_round_trip",
-    "registry_submit",
-    "registry_resolve",
-    "authorize_simple",
-    "decide_delegated_3",
-)
-
 
 @dataclass
 class BenchRow:

@@ -16,7 +16,7 @@ import secrets
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import pdp
 from .identity import (
@@ -31,12 +31,9 @@ from .identity import (
     verify_challenge,
     verify_document,
 )
-from .pdp import AccessDecision, PolicyRequest
+from .pdp import SOURCE_SIMPLE, AccessDecision, PolicyRequest
 from .registry import RegistryClient, ResolutionStatus
 from .wire import ConnectionPool, Dispatcher, ServiceError, WireError, WireServer, request
-
-SOURCE_SIMPLE = "simple-document"
-SOURCE_DELEGATED = "delegated-pdp"
 
 
 class HubError(ServiceError):
@@ -248,8 +245,7 @@ class Hub:
             default_ttl=self.config.default_ttl,
             pool=self._pool,
         )
-        valid_until = min(decision.valid_until, doc.not_after)
-        return AccessDecision(decision.granted, valid_until, SOURCE_DELEGATED, decision.detail)
+        return replace(decision, valid_until=min(decision.valid_until, doc.not_after))
 
     # -- enforcement ---------------------------------------------------------------
 

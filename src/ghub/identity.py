@@ -28,7 +28,6 @@ from cryptography.hazmat.primitives.asymmetric import ed25519
 from .canonical import canonical_bytes, parse as parse_json
 
 DID_METHOD = "ghub"
-DID_PREFIX = f"did:{DID_METHOD}:"
 AUTH_METHOD_ED25519 = "Ed25519ChallengeResponse"
 RESOURCE_SCHEME = "iot:"
 KEY_FILE_KIND = "ed25519-seed"

@@ -1,6 +1,6 @@
 """Policy Decision Points: a small declarative rule language evaluated as a
-pure function of the request, served by N independent replicas, and combined
-client-side by a pre-defined consensus rule.
+pure function of the request, served by N independent replicas named in a
+pdp:// policy URI, and combined client-side by a pre-defined consensus rule.
 
 Every honest replica running the same rule returns the identical verdict for
 identical input, so disagreement implies a fault. Aggregation fails closed:
@@ -11,25 +11,15 @@ deny votes, and ties deny.
 from __future__ import annotations
 
 import hashlib
-import queue
 import re
 import struct
-import threading
-from concurrent.futures import Future, wait
+from concurrent.futures import wait
 from dataclasses import dataclass
+from urllib.parse import parse_qs, urlsplit
 
 from .canonical import canonical_bytes, parse as parse_json
 from .identity import Keypair, b64, unb64, verify_signature
-from .wire import (
-    ConnectionPool,
-    Dispatcher,
-    PolicyUri,
-    ServiceError,
-    WireServer,
-    parse_policy_uri,
-    register_local,
-    request,
-)
+from .wire import WORKERS, ConnectionPool, Dispatcher, ServiceError, WireServer, register_local, request
 
 ALLOW = "allow"
 DENY = "deny"
@@ -169,16 +159,16 @@ class ConsensusRule:
     def of_threshold(cls, k: int) -> "ConsensusRule":
         return cls("threshold", k)
 
-    @classmethod
-    def from_policy_uri(cls, uri: PolicyUri) -> "ConsensusRule":
-        return cls(uri.consensus, uri.threshold)
+
+SOURCE_SIMPLE = "simple-document"  # decided by the document's resource allow-list
+SOURCE_DELEGATED = "delegated-pdp"  # decided by consensus of PDP replicas
 
 
 @dataclass(frozen=True)
 class AccessDecision:
     granted: bool
     valid_until: int
-    source: str  # "simple-document" | "delegated-pdp"
+    source: str  # SOURCE_SIMPLE | SOURCE_DELEGATED
     detail: str = ""
 
     def to_json(self) -> dict:
@@ -188,6 +178,59 @@ class AccessDecision:
             "source": self.source,
             "detail": self.detail,
         }
+
+
+# ---------------------------------------------------------------------------
+# Policy URIs
+
+POLICY_SCHEME = "pdp"
+
+
+@dataclass(frozen=True)
+class PolicyUri:
+    """pdp://<ep1,ep2,...>/<policy_id>?consensus=majority|unanimous|threshold-k"""
+
+    endpoints: tuple[str, ...]
+    policy_id: str
+    consensus: str = "majority"
+    threshold: int | None = None
+
+    def render(self) -> str:
+        kind = f"threshold-{self.threshold}" if self.consensus == "threshold" else self.consensus
+        return f"{POLICY_SCHEME}://{','.join(self.endpoints)}/{self.policy_id}?consensus={kind}"
+
+    def __str__(self) -> str:
+        return self.render()
+
+
+def parse_policy_uri(text: str) -> PolicyUri:
+    parts = urlsplit(text)
+    if parts.scheme != POLICY_SCHEME:
+        raise ValueError(f"policy URI must use the {POLICY_SCHEME!r} scheme, got {parts.scheme!r}")
+    endpoints = tuple(e for e in parts.netloc.split(",") if e)
+    if not endpoints:
+        raise ValueError("policy URI has no replica endpoints")
+    policy_id = parts.path.lstrip("/")
+    if not policy_id or "/" in policy_id:
+        raise ValueError("policy URI path must be a single non-empty policy id segment")
+    query = parse_qs(parts.query)
+    raw = query.get("consensus", ["majority"])[-1]
+    threshold = None
+    if raw.startswith("threshold-"):
+        consensus = "threshold"
+        try:
+            threshold = int(raw[len("threshold-"):])
+        except ValueError:
+            raise ValueError(f"bad threshold in consensus parameter {raw!r}") from None
+        if not 1 <= threshold <= len(endpoints):
+            raise ValueError(
+                f"threshold {threshold} out of range for {len(endpoints)} endpoint(s)"
+            )
+    elif raw in ("majority", "unanimous"):
+        consensus = raw
+    else:
+        raise ValueError(f"unknown consensus rule {raw!r}")
+    return PolicyUri(endpoints=endpoints, policy_id=policy_id, consensus=consensus, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -416,55 +459,8 @@ def aggregate(
 
     detail = f"{rule.kind}: {n_grants}/{n_replicas} grant ({', '.join(notes)})"
     if granted:
-        return AccessDecision(True, min(grants), "delegated-pdp", detail)
-    return AccessDecision(False, now, "delegated-pdp", detail)
-
-
-class _Fanout:
-    """Runs every vote at once, on an idle worker thread if there is one and
-    on a new thread if not. A vote never waits behind busy workers, so hung
-    replicas named by one policy cannot delay the votes of another. A worker
-    left idle for `idle_seconds` exits."""
-
-    def __init__(self, idle_seconds: float):
-        self._idle_seconds = idle_seconds
-        self._idle: list[queue.SimpleQueue] = []  # one inbox per idle worker, most recent last
-        self._lock = threading.Lock()
-
-    def submit(self, fn, arg) -> Future:
-        future = Future()
-        task = (future, fn, arg)
-        with self._lock:
-            inbox = self._idle.pop() if self._idle else None
-        if inbox is None:
-            threading.Thread(target=self._work, args=(task,), name="pdp-fanout", daemon=True).start()
-        else:
-            inbox.put(task)
-        return future
-
-    def _work(self, task) -> None:
-        inbox = queue.SimpleQueue()
-        while True:
-            future, fn, arg = task
-            future.set_running_or_notify_cancel()
-            result = fn(arg)  # a vote turns every failure into a deny entry
-            # idle again before the result is out, so a caller's next vote finds this worker
-            with self._lock:
-                self._idle.append(inbox)
-            future.set_result(result)
-            try:
-                task = inbox.get(timeout=self._idle_seconds)
-            except queue.Empty:
-                with self._lock:
-                    if inbox in self._idle:
-                        self._idle.remove(inbox)
-                        return
-                task = inbox.get()  # a vote was handed over as the wait ran out
-
-
-# idle as long as decide's default deadline: steady traffic keeps its workers,
-# and the extra threads of a burst are gone soon after its votes
-_FANOUT = _Fanout(idle_seconds=5.0)
+        return AccessDecision(True, min(grants), SOURCE_DELEGATED, detail)
+    return AccessDecision(False, now, SOURCE_DELEGATED, detail)
 
 
 def decide(
@@ -481,8 +477,8 @@ def decide(
     The caller sees a single call returning a single decision within
     `timeout`; replicas that time out, refuse connections, or answer garbage
     become deny votes, and so does a vote still running at the deadline.
-    Votes run on long-lived fan-out threads. A long-lived caller passes a
-    connection pool; without one, each vote opens its own connection.
+    Votes run on the long-lived wire.WORKERS threads. A long-lived caller
+    passes a connection pool; without one, each vote opens its own connection.
     """
     uri = parse_policy_uri(policy_uri) if isinstance(policy_uri, str) else policy_uri
     body = {"policy_id": uri.policy_id, "request": req.to_json()}
@@ -500,7 +496,7 @@ def decide(
         except Exception as exc:
             return ReplicaFailure(endpoint, f"malformed:{type(exc).__name__}")
 
-    futures = [_FANOUT.submit(ask, endpoint) for endpoint in uri.endpoints]
+    futures = [WORKERS.submit(ask, endpoint) for endpoint in uri.endpoints]
     wait(futures, timeout=timeout)
     # a vote still running at the deadline is a timeout deny
     entries = [
@@ -510,7 +506,7 @@ def decide(
 
     return aggregate(
         entries,
-        ConsensusRule.from_policy_uri(uri),
+        ConsensusRule(uri.consensus, uri.threshold),
         len(uri.endpoints),
         now=req.now,
         default_ttl=default_ttl,

@@ -8,19 +8,22 @@ connection. Frames are capped at 1 MiB including the trailing newline.
 
 A TCP call opens a connection and closes it after the reply, unless the
 caller passes a ConnectionPool: a long-lived caller of its own back ends
-(the hub) keeps one connection to each alive in one.
+(the hub) keeps one connection to each alive in one. A `local:` call runs
+its handler on WORKERS, the process-wide long-lived threads that also run
+the PDP votes.
 """
 
 from __future__ import annotations
 
+import queue
 import socket
 import socketserver
 import threading
 import time
 import uuid
+from concurrent.futures import Future, TimeoutError as FutureTimeout
 from dataclasses import dataclass
 from typing import Any, Callable
-from urllib.parse import parse_qs, urlsplit
 
 from .canonical import canonical_bytes, parse
 
@@ -147,6 +150,62 @@ def _error_body(code: str, message: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Long-lived workers
+
+class _Fanout:
+    """Runs every task at once, on an idle worker thread if there is one and
+    on a new thread if not. A task never waits behind busy workers, so hung
+    replicas named by one policy cannot delay the votes of another, and a
+    task may submit to the same workers and wait without deadlock. A task
+    that raises settles its future with the exception. A worker left idle
+    for `idle_seconds` exits."""
+
+    def __init__(self, idle_seconds: float):
+        self._idle_seconds = idle_seconds
+        self._idle: list[queue.SimpleQueue] = []  # one inbox per idle worker, most recent last
+        self._lock = threading.Lock()
+
+    def submit(self, fn, arg) -> Future:
+        future = Future()
+        task = (future, fn, arg)
+        with self._lock:
+            inbox = self._idle.pop() if self._idle else None
+        if inbox is None:
+            threading.Thread(target=self._work, args=(task,), name="ghub-worker", daemon=True).start()
+        else:
+            inbox.put(task)
+        return future
+
+    def _work(self, task) -> None:
+        inbox = queue.SimpleQueue()
+        while True:
+            future, fn, arg = task
+            future.set_running_or_notify_cancel()
+            try:
+                outcome, settle = fn(arg), future.set_result
+            except Exception as exc:
+                outcome, settle = exc, future.set_exception
+            # idle again before the outcome is out, so a caller's next task finds this worker
+            with self._lock:
+                self._idle.append(inbox)
+            settle(outcome)
+            try:
+                task = inbox.get(timeout=self._idle_seconds)
+            except queue.Empty:
+                with self._lock:
+                    if inbox in self._idle:
+                        self._idle.remove(inbox)
+                        return
+                task = inbox.get()  # a task was handed over as the wait ran out
+
+
+# The only workers that run calls under a deadline: PDP votes and `local:`
+# calls. Idle as long as a call's default deadline, so steady traffic keeps
+# its workers and the extra threads of a burst are gone soon after it.
+WORKERS = _Fanout(idle_seconds=5.0)
+
+
+# ---------------------------------------------------------------------------
 # In-process transport
 
 _local_lock = threading.Lock()
@@ -174,19 +233,14 @@ def _local_call(name: str, envelope: Envelope, timeout: float) -> Envelope:
         dispatcher = _local_endpoints.get(name)
     if dispatcher is None:
         raise ConnectionRefusedError(f"no local endpoint {name!r}")
-    result: list[Envelope] = []
-
-    def run():
-        result.append(dispatcher.handle(envelope))
-
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(timeout)
-    if worker.is_alive():
-        raise TimeoutError(f"local endpoint {name!r} did not answer within {timeout}s")
-    if not result:
-        raise ProtocolError(f"local endpoint {name!r} produced no response")
-    return result[0]
+    future = WORKERS.submit(dispatcher.handle, envelope)
+    try:
+        error = future.exception(timeout)
+    except FutureTimeout:
+        raise TimeoutError(f"local endpoint {name!r} did not answer within {timeout}s") from None
+    if error is not None:
+        raise ProtocolError(f"local endpoint {name!r} produced no response") from error
+    return future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -443,57 +497,3 @@ def request(endpoint: str, op: str, body: Any, timeout: float = 5.0, pool: Conne
         err = response.body["error"]
         raise ServiceError(str(err.get("code", "Unknown")), str(err.get("message", "")))
     return response.body
-
-
-# ---------------------------------------------------------------------------
-# Policy URIs
-
-POLICY_SCHEME = "pdp"
-CONSENSUS_KINDS = ("majority", "unanimous", "threshold")
-
-
-@dataclass(frozen=True)
-class PolicyUri:
-    """pdp://<ep1,ep2,...>/<policy_id>?consensus=majority|unanimous|threshold-k"""
-
-    endpoints: tuple[str, ...]
-    policy_id: str
-    consensus: str = "majority"
-    threshold: int | None = None
-
-    def render(self) -> str:
-        kind = f"threshold-{self.threshold}" if self.consensus == "threshold" else self.consensus
-        return f"{POLICY_SCHEME}://{','.join(self.endpoints)}/{self.policy_id}?consensus={kind}"
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-def parse_policy_uri(text: str) -> PolicyUri:
-    parts = urlsplit(text)
-    if parts.scheme != POLICY_SCHEME:
-        raise ValueError(f"policy URI must use the {POLICY_SCHEME!r} scheme, got {parts.scheme!r}")
-    endpoints = tuple(e for e in parts.netloc.split(",") if e)
-    if not endpoints:
-        raise ValueError("policy URI has no replica endpoints")
-    policy_id = parts.path.lstrip("/")
-    if not policy_id or "/" in policy_id:
-        raise ValueError("policy URI path must be a single non-empty policy id segment")
-    query = parse_qs(parts.query)
-    raw = query.get("consensus", ["majority"])[-1]
-    threshold = None
-    if raw.startswith("threshold-"):
-        consensus = "threshold"
-        try:
-            threshold = int(raw[len("threshold-"):])
-        except ValueError:
-            raise ValueError(f"bad threshold in consensus parameter {raw!r}") from None
-        if not 1 <= threshold <= len(endpoints):
-            raise ValueError(
-                f"threshold {threshold} out of range for {len(endpoints)} endpoint(s)"
-            )
-    elif raw in ("majority", "unanimous"):
-        consensus = raw
-    else:
-        raise ValueError(f"unknown consensus rule {raw!r}")
-    return PolicyUri(endpoints=endpoints, policy_id=policy_id, consensus=consensus, threshold=threshold)

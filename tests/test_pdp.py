@@ -15,7 +15,6 @@ from ghub.pdp import (
     PolicyRequest,
     PolicyVerdict,
     ReplicaFailure,
-    _Fanout,
     aggregate,
     decide,
     evaluate,
@@ -24,7 +23,7 @@ from ghub.pdp import (
     serve_replica,
     verify_verdict,
 )
-from ghub.wire import ConnectionPool, Dispatcher, ServiceError, request, unregister_local
+from ghub.wire import ConnectionPool, Dispatcher, ServiceError, _Fanout, request, unregister_local
 from helpers import (
     NOW,
     LyingReplica,

@@ -6,27 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghub.pdp import PolicyRequest, PolicyUri, decide, parse_policy_uri
 from ghub.wire import (
     MAX_FRAME,
+    WORKERS,
     ConnectionPool,
     Dispatcher,
     Envelope,
     FrameTooLarge,
-    PolicyUri,
     ProtocolError,
     ServiceError,
     WireError,
     WireServer,
+    _Fanout,
     call,
     decode_frame,
     decode_frames,
     encode_frame,
-    parse_policy_uri,
     register_local,
     request,
     unregister_local,
 )
-from helpers import unique_local
+from helpers import NOW, allow_all_rule, make_replicas, unique_local
 
 
 def echo_dispatcher():
@@ -132,6 +133,90 @@ class TestLocalTransport:
                 register_local(name, echo_dispatcher())
         finally:
             unregister_local(name)
+
+
+def count_thread_starts(monkeypatch) -> list:
+    started = []
+    original = threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+class RaisingHandler:
+    """Registered as a local endpoint in place of a Dispatcher; its handle raises."""
+
+    def handle(self, envelope):
+        raise RuntimeError("handler broke")
+
+
+class TestWorkers:
+    def test_steady_local_calls_and_decides_start_no_threads(self, monkeypatch):
+        name, endpoint = unique_local(echo_dispatcher())
+        _, names, endpoints, keys = make_replicas(3, allow_all_rule("p"))
+        uri = f"pdp://{','.join(endpoints)}/p?consensus=majority"
+        req = PolicyRequest(guest_did="did:ghub:guest1", resource="iot:door/main", action="open", context={}, now=NOW)
+        try:
+            # warm-up: six workers at once, as many as a decide's three votes
+            # and their three local calls hold when all of them overlap
+            gate = threading.Event()
+            held = [WORKERS.submit(gate.wait, 5) for _ in range(6)]
+            gate.set()
+            assert all(f.result(timeout=5) for f in held)
+            started = count_thread_starts(monkeypatch)
+            for i in range(200):
+                assert request(endpoint, "echo", {"i": i}) == {"i": i}
+            for _ in range(200):
+                assert decide(uri, req, keys).granted
+            assert started == []
+        finally:
+            for n in names + [name]:
+                unregister_local(n)
+
+    def test_raising_handler_is_a_prompt_protocol_error(self):
+        broken, broken_endpoint = unique_local(RaisingHandler())
+        name, endpoint = unique_local(echo_dispatcher())
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(ProtocolError):
+                call(broken_endpoint, Envelope.request("echo", {}), timeout=5)
+            assert time.monotonic() - t0 < 1.0
+            assert request(endpoint, "echo", {"after": 1}) == {"after": 1}
+        finally:
+            unregister_local(broken)
+            unregister_local(name)
+
+    def test_a_worker_outlives_its_raising_task(self):
+        fanout = _Fanout(idle_seconds=5.0)
+        idents = []
+
+        def fail(_):
+            idents.append(threading.get_ident())
+            raise ValueError("task broke")
+
+        assert isinstance(fanout.submit(fail, None).exception(timeout=5), ValueError)
+        assert fanout.submit(lambda _: threading.get_ident(), None).result(timeout=5) == idents[0]
+
+    def test_nested_local_call_answers_while_workers_are_hung(self):
+        release = threading.Event()
+        hung = [WORKERS.submit(release.wait, 10) for _ in range(4)]
+        inner, inner_endpoint = unique_local(echo_dispatcher())
+        outer, outer_endpoint = unique_local(
+            Dispatcher({"relay": lambda body: request(inner_endpoint, "echo", body, timeout=1)})
+        )
+        try:
+            t0 = time.monotonic()
+            assert request(outer_endpoint, "relay", {"v": 3}, timeout=1) == {"v": 3}
+            assert time.monotonic() - t0 < 1.0
+            assert not any(f.done() for f in hung)
+        finally:
+            release.set()
+            unregister_local(inner)
+            unregister_local(outer)
 
 
 class TestTcpTransport:

@@ -247,8 +247,9 @@ def cmd_serve(args) -> int:
     print(f"{args.role} listening on {server.endpoint}", flush=True)
     stop.wait()
     server.stop()
-    if isinstance(service, Hub):
-        service.close()
+    close = getattr(service, "close", None)  # the hub's back-end sockets, the registry's chain file
+    if close is not None:
+        close()
     print(f"{args.role} stopped", flush=True)
     return 0
 

@@ -6,18 +6,24 @@ persisted chain is detectable. Writes are restricted to admitted members
 (admitted at genesis or by an admin-signed admission), and owners submit
 their own grants: a transaction's controller must be the DID derived from
 the submitting member's key, which is what makes ControllerMismatch
-checkable here rather than on trust.
+checkable here rather than on trust. The chain (a file, or an in-memory
+buffer) is the only copy of the history: a registry keeps in memory only the
+state that validation needs, and reads blocks back from the chain on request.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import io
 import itertools
+import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .canonical import canonical_bytes, parse
 from .identity import (
@@ -44,6 +50,9 @@ DID_TX_KINDS = (KIND_CREATE, KIND_UPDATE, KIND_REVOKE)
 
 # what parsing a malformed entry or block can raise
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError)
+
+# how much of the chain one read takes when blocks are streamed back from it
+_READ_CHUNK = 1 << 16
 
 
 class RegistryError(ServiceError):
@@ -161,12 +170,28 @@ class LedgerBlock:
         )
 
 
-def _lines(fh: BinaryIO) -> Iterator[bytes]:
-    """The non-empty newline-separated lines of a chain file, newlines removed."""
-    for line in fh:
-        line = line.rstrip(b"\n")
-        if line:
-            yield line
+def _lines(read: Callable[[int, int], bytes], end: int) -> Iterator[bytes]:
+    """The non-empty newline-separated lines of a chain's first `end` bytes,
+    newlines removed, fetched a chunk at a time by `read(size, offset)`."""
+    offset, tail = 0, b""
+    while offset < end:
+        chunk = read(min(_READ_CHUNK, end - offset), offset)
+        if not chunk:
+            raise RegistryError("CorruptChain", f"the chain ends at byte {offset}, before its last block")
+        offset += len(chunk)
+        *lines, tail = (tail + chunk).split(b"\n")
+        yield from filter(None, lines)
+    if tail:
+        yield tail
+
+
+def _parsed(lines: Iterable[bytes]) -> Iterator[LedgerBlock]:
+    """One block per chain line; CorruptChain names the first line that is no block."""
+    for height, line in enumerate(lines):
+        try:
+            yield LedgerBlock.from_json(parse(line))
+        except _MALFORMED as exc:
+            raise RegistryError("CorruptChain", f"block {height}: {exc}") from exc
 
 
 def _block_hash(height: int, prev_hash: str, txs: list[dict]) -> str:
@@ -183,15 +208,23 @@ class ResolutionResult:
 
 class Registry:
     """The ledger plus its materialized state. One writer at a time; a commit
-    returning implies visibility to every subsequent resolve (no caching)."""
+    returning implies visibility to every subsequent resolve (no caching).
+
+    In memory it holds only what validation needs: members, each member's last
+    `seq`, DID state, the height and the head hash. The blocks live in the
+    chain alone: the file at `chain_path`, opened at the first write and kept
+    open, or an in-memory buffer of the same lines for a registry without one."""
 
     def __init__(self, admin_key: bytes, chain_path: str | Path | None = None):
         if len(admin_key) != 32:
             raise RegistryError("MalformedTx", "admin key must be 32 bytes")
         self.admin_key = admin_key
         self._chain_path = Path(chain_path) if chain_path is not None else None
+        self._chain: BinaryIO | None = io.BytesIO() if chain_path is None else None
+        self._size = 0  # bytes of the chain that hold committed blocks
+        self._height = -1
+        self._head = GENESIS_PREV_HASH
         self._lock = threading.RLock()
-        self._blocks: list[LedgerBlock] = []
         self._members: dict[bytes, str] = {}
         self._member_seq: dict[bytes, int] = {}
         # did -> (status: "active"|"revoked", latest signed document)
@@ -219,18 +252,28 @@ class Registry:
 
     @classmethod
     def load(cls, chain_path: str | Path) -> "Registry":
-        """Reload a persisted chain, verifying every hash and signature before serving."""
+        """Reload a persisted chain, verifying every hash and signature before
+        serving; the file it replayed stays open for the registry's appends."""
         path = Path(chain_path)
+        # appendable and readable, but never created: a missing chain is an error
+        chain = open(path, "a+b", opener=lambda p, flags: os.open(p, flags & ~os.O_CREAT))
+        reg = None
         try:
-            with open(path, "rb") as fh:
-                # one line at a time: only the replayed registry's own blocks stay in memory
-                reg = cls._replay(LedgerBlock.from_json(parse(ln)) for ln in _lines(fh))
+            size = os.fstat(chain.fileno()).st_size
+            reg = cls._replay(_parsed(_lines(partial(os.pread, chain.fileno()), size)))
         except RegistryError as exc:
             raise RegistryError("CorruptChain", f"{path}: {exc.message}") from exc
-        except _MALFORMED as exc:
-            raise RegistryError("CorruptChain", f"{path}: {exc}") from exc
-        reg._chain_path = path
+        finally:
+            if reg is None:
+                chain.close()
+        reg._chain_path, reg._chain, reg._size = path, chain, size
         return reg
+
+    def close(self) -> None:
+        """Release the chain; the registry takes no reads or writes after this."""
+        with self._lock:
+            if self._chain is not None:
+                self._chain.close()
 
     @classmethod
     def _replay(cls, blocks: Iterable[LedgerBlock]) -> "Registry":
@@ -238,7 +281,8 @@ class Registry:
         rules every append obeys.
 
         Raises CorruptChain on a broken link, a hash mismatch, or an entry that
-        `_validate_entry` refuses. A block may hold several entries."""
+        `_validate_entry` refuses. A block may hold several entries. Only the
+        height and head hash are kept of the blocks themselves."""
         try:
             blocks = iter(blocks)
             first = next(blocks, None)
@@ -247,17 +291,16 @@ class Registry:
             raise RegistryError("CorruptChain", f"block 0 names no admin key: {exc}") from exc
         for height, block in enumerate(itertools.chain([first], blocks)):
             try:
-                prev = reg._blocks[-1].block_hash if reg._blocks else GENESIS_PREV_HASH
-                if block.height != height or block.prev_hash != prev:
+                if block.height != height or block.prev_hash != reg._head:
                     raise RegistryError("CorruptChain", "broken link")
-                if _block_hash(height, prev, list(block.txs)) != block.block_hash:
+                if _block_hash(height, reg._head, list(block.txs)) != block.block_hash:
                     raise RegistryError("CorruptChain", "hash mismatch")
                 for entry in block.txs:
                     reg._validate_entry(entry, sole=len(block.txs) == 1)
                     reg._apply_entry(entry)
             except (RegistryError, *_MALFORMED) as exc:
                 raise RegistryError("CorruptChain", f"block {height}: {exc}") from exc
-            reg._blocks.append(block)
+            reg._height, reg._head = height, block.block_hash
         return reg
 
     # -- write path ----------------------------------------------------------
@@ -278,19 +321,44 @@ class Registry:
 
     def _append(self, entry: dict) -> int:
         """Validate one entry, persist it as the next block, and only then apply
-        it, so a failed write leaves state and blocks as they were."""
+        it, so a failed write leaves state and chain as they were."""
         with self._lock:
             self._validate_entry(entry, sole=True)
-            height = len(self._blocks)
-            prev_hash = self._blocks[-1].block_hash if self._blocks else GENESIS_PREV_HASH
-            block = LedgerBlock(height, prev_hash, (entry,), _block_hash(height, prev_hash, [entry]))
-            if self._chain_path is not None:
-                with open(self._chain_path, "ab") as fh:
-                    fh.write(canonical_bytes(block.to_json()) + b"\n")
-                    fh.flush()
+            height = self._height + 1
+            block = LedgerBlock(height, self._head, (entry,), _block_hash(height, self._head, [entry]))
+            line = canonical_bytes(block.to_json()) + b"\n"
+            chain = self._chain_for_append()
+            chain.write(line)
+            chain.flush()
+            self._size += len(line)
             self._apply_entry(entry)
-            self._blocks.append(block)
+            self._height, self._head = height, block.block_hash
             return height
+
+    def _chain_for_append(self) -> BinaryIO:
+        """The open chain. A file is opened at the first write, and refused once
+        `chain_path` names another file: a restart would load that one, so a
+        commit written here would be acknowledged and then lost."""
+        if self._chain is None:
+            self._chain = open(self._chain_path, "a+b")
+        elif self._chain_path is not None and not os.path.samestat(
+            os.stat(self._chain_path), os.fstat(self._chain.fileno())
+        ):
+            raise OSError(errno.ESTALE, "the chain file was replaced", str(self._chain_path))
+        return self._chain
+
+    def _chain_lines(self) -> Iterator[bytes]:
+        """The committed chain's lines, up to the length committed at this call."""
+        with self._lock:
+            end = self._size
+        return _lines(self._read, end)
+
+    def _read(self, size: int, offset: int) -> bytes:
+        if isinstance(self._chain, io.BytesIO):
+            # a buffer cannot grow while a view of it is alive, so read it under the lock
+            with self._lock, self._chain.getbuffer() as view:
+                return bytes(view[offset:offset + size])
+        return os.pread(self._chain.fileno(), size, offset)
 
     # -- validation ----------------------------------------------------------
 
@@ -300,7 +368,7 @@ class Registry:
         if not isinstance(entry, dict):
             raise RegistryError("MalformedTx", "an entry must be a JSON object")
         kind = entry.get("kind")
-        at_genesis = not self._blocks
+        at_genesis = self._height < 0
         if (kind == KIND_GENESIS) != at_genesis or (at_genesis and not sole):
             raise RegistryError("MalformedTx", "the genesis entry appears alone at height 0, and only there")
         if kind == KIND_GENESIS:
@@ -410,12 +478,12 @@ class Registry:
     @property
     def height(self) -> int:
         with self._lock:
-            return len(self._blocks) - 1
+            return self._height
 
     @property
     def blocks(self) -> list[LedgerBlock]:
-        with self._lock:
-            return list(self._blocks)
+        """Every committed block, parsed from the chain on each call."""
+        return list(_parsed(self._chain_lines()))
 
     def is_member(self, public_key: bytes) -> bool:
         with self._lock:
@@ -424,7 +492,7 @@ class Registry:
     def resolve(self, did, now: int) -> ResolutionResult:
         did_key = as_did(did).render()
         with self._lock:
-            head = len(self._blocks) - 1
+            head = self._height
             current = self._state.get(did_key)
         if current is None:
             return ResolutionResult(ResolutionStatus.NOT_FOUND, None, head)
@@ -436,24 +504,21 @@ class Registry:
         return ResolutionResult(ResolutionStatus.ACTIVE, sdoc, head)
 
     def history(self, did) -> list[tuple[int, RegistryTx]]:
+        """The DID's transactions in chain order, streamed from the chain."""
         did_key = as_did(did).render()
-        out = []
-        with self._lock:
-            blocks = list(self._blocks)
-        for block in blocks:
-            for entry in block.txs:
-                if entry.get("kind") in DID_TX_KINDS and entry.get("did") == did_key:
-                    out.append((block.height, RegistryTx.from_json(entry)))
-        return out
+        return [
+            (block.height, RegistryTx.from_json(entry))
+            for block in _parsed(self._chain_lines())
+            for entry in block.txs
+            if entry.get("kind") in DID_TX_KINDS and entry.get("did") == did_key
+        ]
 
     def verify_chain(self) -> bool:
-        """Recompute every hash and signature; False on any discrepancy."""
-        with self._lock:
-            blocks = list(self._blocks)
-        return verify_blocks(blocks)
+        """Replay the chain as committed, block by block; False on any discrepancy."""
+        return verify_blocks(_parsed(self._chain_lines()))
 
 
-def verify_blocks(blocks: list[LedgerBlock]) -> bool:
+def verify_blocks(blocks: Iterable[LedgerBlock]) -> bool:
     """Chain verification over raw blocks (also used on reloaded/foreign chains):
     True iff replaying them under the registry's own rules succeeds."""
     try:

@@ -1,7 +1,12 @@
+import gc
 import hashlib
+import os
 import random
+import sys
 import tempfile
 import threading
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -544,3 +549,158 @@ def test_reload_and_verify_agree_with_live_registry(steps):
         swapped = list(blocks)
         swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
         assert not verify_blocks(swapped)
+
+
+@pytest.fixture(scope="module")
+def churn_txs():
+    """1,000 create/revoke pairs by alice (seqs 1..2000), each for a guest of its own."""
+    alice = seeded_keypair(7)
+    txs = []
+    for i in range(1000):
+        guest = generate_keypair(i.to_bytes(32, "big"))
+        sdoc = build_and_sign_guest_document(alice, guest.public_key, ["iot:hue/light1"], None, NOW + 3600, NOW)
+        txs.append(signed_tx(KIND_CREATE, sdoc.document.id, sdoc, alice, "alice", 2 * i + 1))
+        txs.append(signed_tx(KIND_REVOKE, sdoc.document.id, None, alice, "alice", 2 * i + 2))
+    return txs
+
+
+def traced_growth(action):
+    """Bytes of Python memory still allocated after `action()`, and its result."""
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    result = action()
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0] - before, result
+
+
+class TestStateNotHistory:
+    """The registry keeps state in memory; the chain is the only copy of its blocks."""
+
+    def test_memory_tracks_state_not_history(self, tmp_path, admin, alice, churn_txs):
+        txs = churn_txs[:1000]  # 500 create/revoke pairs
+        path = tmp_path / "chain.ndjson"
+        reg = Registry.create(admin.public_key, [MemberId(alice.public_key, "alice")], path)
+
+        def commit_all():
+            for tx in txs:
+                reg.submit(tx)
+
+        tracemalloc.start()
+        try:
+            live, _ = traced_growth(commit_all)
+            loaded_bytes, loaded = traced_growth(lambda: Registry.load(path))
+        finally:
+            tracemalloc.stop()
+        assert loaded.height == reg.height == len(txs)
+        # the chain file itself takes about 710 B per transaction
+        assert live / len(txs) < 1200
+        assert loaded_bytes / len(txs) < 1200
+        loaded.close()
+        reg.close()
+
+    def test_replaced_chain_file_refuses_the_commit(self, tmp_path, admin, alice):
+        path = tmp_path / "chain.ndjson"
+        reg = Registry.create(admin.public_key, [MemberId(alice.public_key, "alice")], path)
+        _, tx = grant_tx(alice, seeded_keypair(3), seq=1)
+        reg.submit(tx)
+        other = tmp_path / "other.ndjson"
+        other.write_bytes(path.read_bytes())
+        os.replace(other, path)
+        replaced = path.read_bytes()
+        height, blocks = reg.height, reg.blocks
+        did, tx = grant_tx(alice, seeded_keypair(4), seq=2)
+        with pytest.raises(OSError):
+            reg.submit(tx)
+        assert reg.height == height
+        assert reg.blocks == blocks
+        assert reg.resolve(did, NOW).status is ResolutionStatus.NOT_FOUND
+        assert path.read_bytes() == replaced  # a restart loads exactly what it held before
+        reg.close()
+
+    def test_chain_files_are_closed_not_left_to_the_collector(self, tmp_path, admin, alice):
+        path = tmp_path / "chain.ndjson"
+        _, tx = grant_tx(alice, seeded_keypair(3), seq=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            reg = Registry.create(admin.public_key, [MemberId(alice.public_key, "alice")], path)
+            loaded = Registry.load(path)
+            reg.close()
+            loaded.close()
+            with pytest.raises(ValueError):
+                reg.submit(tx)
+            path.write_bytes(path.read_bytes()[:-2])
+            with pytest.raises(RegistryError):
+                Registry.load(path)  # a refused load closes the file it opened
+            del reg, loaded
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @pytest.mark.parametrize("backed", ["file", "memory"])
+    def test_reads_stream_beside_submits(self, tmp_path, admin, alice, churn_txs, backed):
+        path = tmp_path / "chain.ndjson" if backed == "file" else None
+        reg = Registry.create(admin.public_key, [MemberId(alice.public_key, "alice")], path)
+        txs = churn_txs[:200]
+        heights, problems, reads = [], [], [0]
+        done = threading.Event()
+
+        def submitter():
+            try:
+                for tx in txs:
+                    heights.append(reg.submit(tx))
+            except Exception as exc:  # reported by the assertion below
+                problems.append(repr(exc))
+            finally:
+                done.set()
+
+        def reader():
+            try:
+                while not done.is_set():
+                    snapshot = reg.blocks
+                    if not verify_blocks(snapshot):
+                        problems.append(f"a snapshot of {len(snapshot)} blocks does not verify")
+                    if len(reg.history(txs[0].did)) > 2:
+                        problems.append("history holds more than a create and a revoke")
+                    if not reg.verify_chain():
+                        problems.append("verify_chain is false")
+                    reads[0] += 1
+            except Exception as exc:  # reported by the assertion below
+                problems.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submitter), threading.Thread(target=reader)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert problems == []
+        assert heights == list(range(1, len(txs) + 1))
+        assert reads[0] >= 1
+        assert verify_blocks(reg.blocks) and len(reg.blocks) == len(txs) + 1
+        reg.close()
+
+    def test_submit_does_not_wait_for_a_verify(self, tmp_path, admin, alice, churn_txs):
+        reg = Registry.create(admin.public_key, [MemberId(alice.public_key, "alice")], tmp_path / "chain.ndjson")
+        for tx in churn_txs[:-1]:
+            reg.submit(tx)
+        started, result = threading.Event(), []
+
+        def verifier():
+            started.set()
+            result.append(reg.verify_chain())
+
+        thread = threading.Thread(target=verifier)
+        thread.start()
+        started.wait(timeout=10)
+        # a ~2,000-block replay takes most of a second; one submit takes about a millisecond
+        assert reg.submit(churn_txs[-1]) == len(churn_txs)
+        replaying = thread.is_alive()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert result == [True]
+        assert replaying, "the submit waited for the replay to end"
+        reg.close()

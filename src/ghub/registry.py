@@ -6,18 +6,18 @@ persisted chain is detectable. Writes are restricted to admitted members
 (admitted at genesis or by an admin-signed admission), and owners submit
 their own grants: a transaction's controller must be the DID derived from
 the submitting member's key, which is what makes ControllerMismatch
-checkable here rather than on trust. The chain (a file, or an in-memory
-buffer) is the only copy of the history: a registry keeps in memory only the
-state that validation needs, and reads blocks back from the chain on request.
+checkable here rather than on trust. The chain file is the only copy of the
+history: a registry keeps in memory only the state that validation needs, and
+reads blocks back from the file on request.
 """
 
 from __future__ import annotations
 
 import errno
 import hashlib
-import io
 import itertools
 import os
+import tempfile
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -194,6 +194,11 @@ def _parsed(lines: Iterable[bytes]) -> Iterator[LedgerBlock]:
             raise RegistryError("CorruptChain", f"block {height}: {exc}") from exc
 
 
+def _no_create(path, flags: int) -> int:
+    """An `open` opener that never creates the file: a missing chain is an error."""
+    return os.open(path, flags & ~os.O_CREAT)
+
+
 def _block_hash(height: int, prev_hash: str, txs: list[dict]) -> str:
     body = canonical_bytes({"height": height, "prev_hash": prev_hash, "txs": txs})
     return hashlib.sha256(body).hexdigest()
@@ -212,15 +217,19 @@ class Registry:
 
     In memory it holds only what validation needs: members, each member's last
     `seq`, DID state, the height and the head hash. The blocks live in the
-    chain alone: the file at `chain_path`, opened at the first write and kept
-    open, or an in-memory buffer of the same lines for a registry without one."""
+    chain file alone: the file at `chain_path`, or an unlinked temporary file
+    for a registry without one, kept open from the first write (or from `load`)
+    until `close()`."""
 
     def __init__(self, admin_key: bytes, chain_path: str | Path | None = None):
         if len(admin_key) != 32:
             raise RegistryError("MalformedTx", "admin key must be 32 bytes")
         self.admin_key = admin_key
         self._chain_path = Path(chain_path) if chain_path is not None else None
-        self._chain: BinaryIO | None = io.BytesIO() if chain_path is None else None
+        # every read goes through `_chain` and every write through `_appender`; they
+        # are one handle, except after `load`, which opens `_chain` read-only
+        self._chain: BinaryIO | None = None
+        self._appender: BinaryIO | None = None
         self._size = 0  # bytes of the chain that hold committed blocks
         self._height = -1
         self._head = GENESIS_PREV_HASH
@@ -253,10 +262,10 @@ class Registry:
     @classmethod
     def load(cls, chain_path: str | Path) -> "Registry":
         """Reload a persisted chain, verifying every hash and signature before
-        serving; the file it replayed stays open for the registry's appends."""
+        serving. The file it replayed stays open, read-only, until `close()`; the
+        first write reopens that same file for appends."""
         path = Path(chain_path)
-        # appendable and readable, but never created: a missing chain is an error
-        chain = open(path, "a+b", opener=lambda p, flags: os.open(p, flags & ~os.O_CREAT))
+        chain = open(path, "rb", buffering=0)
         reg = None
         try:
             size = os.fstat(chain.fileno()).st_size
@@ -272,8 +281,9 @@ class Registry:
     def close(self) -> None:
         """Release the chain; the registry takes no reads or writes after this."""
         with self._lock:
-            if self._chain is not None:
-                self._chain.close()
+            for handle in (self._chain, self._appender):
+                if handle is not None:
+                    handle.close()
 
     @classmethod
     def _replay(cls, blocks: Iterable[LedgerBlock]) -> "Registry":
@@ -327,25 +337,52 @@ class Registry:
             height = self._height + 1
             block = LedgerBlock(height, self._head, (entry,), _block_hash(height, self._head, [entry]))
             line = canonical_bytes(block.to_json()) + b"\n"
-            chain = self._chain_for_append()
-            chain.write(line)
-            chain.flush()
+            self._write(line)
             self._size += len(line)
             self._apply_entry(entry)
             self._height, self._head = height, block.block_hash
             return height
 
+    def _write(self, line: bytes) -> None:
+        """Append one whole line to the chain, unbuffered. If any part of the write
+        fails, the chain is cut back to its committed length, so no byte of a
+        refused block reaches a later write, `close()` or a restart."""
+        fd = self._chain_for_append().fileno()
+        try:
+            # the committed length is the file's end: `_chain_for_append` checked it
+            view, offset = memoryview(line), self._size
+            while view:
+                written = os.pwrite(fd, view, offset)
+                view, offset = view[written:], offset + written
+        except BaseException:
+            os.ftruncate(fd, self._size)
+            raise
+
     def _chain_for_append(self) -> BinaryIO:
-        """The open chain. A file is opened at the first write, and refused once
-        `chain_path` names another file: a restart would load that one, so a
-        commit written here would be acknowledged and then lost."""
-        if self._chain is None:
-            self._chain = open(self._chain_path, "a+b")
-        elif self._chain_path is not None and not os.path.samestat(
-            os.stat(self._chain_path), os.fstat(self._chain.fileno())
-        ):
+        """The chain's append handle, opened at the first write. A write is refused
+        unless the open file holds exactly the committed blocks and `chain_path`
+        still names it: a restart loads the file at `chain_path`, so a commit
+        written elsewhere would be acknowledged and then lost."""
+        if self._appender is None:
+            if self._chain_path is None:
+                self._appender = tempfile.TemporaryFile(buffering=0)
+            elif self._chain is None:
+                self._appender = open(self._chain_path, "a+b", buffering=0)
+            else:  # loaded: append to the file that was replayed, and never create one
+                replayed = os.fstat(self._chain.fileno())
+                appender = open(self._chain_path, "ab", buffering=0, opener=_no_create)
+                if not os.path.samestat(os.fstat(appender.fileno()), replayed):
+                    appender.close()
+                    raise OSError(errno.ESTALE, "the chain file was replaced", str(self._chain_path))
+                self._appender = appender
+            if self._chain is None:
+                self._chain = self._appender
+        held = os.fstat(self._appender.fileno())
+        if self._chain_path is not None and not os.path.samestat(os.stat(self._chain_path), held):
             raise OSError(errno.ESTALE, "the chain file was replaced", str(self._chain_path))
-        return self._chain
+        if held.st_size != self._size:
+            raise OSError(errno.EIO, f"the chain file holds {held.st_size} bytes, not the {self._size} committed")
+        return self._appender
 
     def _chain_lines(self) -> Iterator[bytes]:
         """The committed chain's lines, up to the length committed at this call."""
@@ -354,10 +391,6 @@ class Registry:
         return _lines(self._read, end)
 
     def _read(self, size: int, offset: int) -> bytes:
-        if isinstance(self._chain, io.BytesIO):
-            # a buffer cannot grow while a view of it is alive, so read it under the lock
-            with self._lock, self._chain.getbuffer() as view:
-                return bytes(view[offset:offset + size])
         return os.pread(self._chain.fileno(), size, offset)
 
     # -- validation ----------------------------------------------------------

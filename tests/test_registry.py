@@ -1,7 +1,10 @@
+import fcntl
 import gc
 import hashlib
 import os
 import random
+import resource
+import signal
 import sys
 import tempfile
 import threading
@@ -598,11 +601,15 @@ class TestStateNotHistory:
         loaded.close()
         reg.close()
 
-    def test_replaced_chain_file_refuses_the_commit(self, tmp_path, admin, alice):
+    @pytest.mark.parametrize("opened", ["created", "loaded"])
+    def test_replaced_chain_file_refuses_the_commit(self, tmp_path, admin, alice, opened):
         path = tmp_path / "chain.ndjson"
         reg = Registry.create(admin.public_key, [MemberId(alice.public_key, "alice")], path)
         _, tx = grant_tx(alice, seeded_keypair(3), seq=1)
         reg.submit(tx)
+        if opened == "loaded":  # replaced before the loaded registry's first write
+            reg.close()
+            reg = Registry.load(path)
         other = tmp_path / "other.ndjson"
         other.write_bytes(path.read_bytes())
         os.replace(other, path)
@@ -616,6 +623,73 @@ class TestStateNotHistory:
         assert reg.resolve(did, NOW).status is ResolutionStatus.NOT_FOUND
         assert path.read_bytes() == replaced  # a restart loads exactly what it held before
         reg.close()
+
+    def test_refused_write_leaves_no_bytes_behind(self, tmp_path, admin, alice):
+        path = tmp_path / "chain.ndjson"
+        reg = Registry.create(admin.public_key, [MemberId(alice.public_key, "alice")], path)
+        committed = path.read_bytes()
+        refused_did, refused = grant_tx(alice, seeded_keypair(3), seq=1)
+        # a file size limit stops the write part-way through the block: the kernel
+        # takes the bytes below the limit, then fails the rest with EFBIG
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (len(committed) + 100, hard))
+        try:
+            with pytest.raises(OSError):
+                reg.submit(refused)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+            signal.signal(signal.SIGXFSZ, handler)
+        assert path.read_bytes() == committed
+        assert reg.height == 0
+        did, tx = grant_tx(alice, seeded_keypair(4), seq=1)  # seq 1 again: the refused tx never counted
+        assert reg.submit(tx) == 1
+        reg.close()
+        loaded = Registry.load(path)
+        assert loaded.height == 1 and loaded.verify_chain()
+        assert loaded.resolve(refused_did, NOW).status is ResolutionStatus.NOT_FOUND
+        assert loaded.resolve(did, NOW).status is ResolutionStatus.ACTIVE
+        loaded.close()
+
+    def test_chain_file_grown_outside_the_registry_refuses_the_commit(self, tmp_path, admin, alice):
+        path = tmp_path / "chain.ndjson"
+        reg = Registry.create(admin.public_key, [MemberId(alice.public_key, "alice")], path)
+        with open(path, "ab") as chain:
+            chain.write(b'{"height": 1')
+        grown = path.read_bytes()
+        did, tx = grant_tx(alice, seeded_keypair(3), seq=1)
+        with pytest.raises(OSError):
+            reg.submit(tx)
+        assert path.read_bytes() == grown
+        assert reg.height == 0
+        assert reg.resolve(did, NOW).status is ResolutionStatus.NOT_FOUND
+        reg.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors through /proc")
+    def test_load_holds_the_chain_read_only_until_it_writes(self, tmp_path, admin, alice):
+        path = tmp_path / "chain.ndjson"
+        Registry.create(admin.public_key, [MemberId(alice.public_key, "alice")], path).close()
+
+        def access_modes():
+            held = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    if os.readlink(f"/proc/self/fd/{fd}") == str(path):
+                        held.append(fcntl.fcntl(int(fd), fcntl.F_GETFL) & os.O_ACCMODE)
+                except OSError:  # the descriptor that listed the directory, now closed
+                    pass
+            return sorted(held)
+
+        loaded = Registry.load(path)
+        assert access_modes() == [os.O_RDONLY]
+        _, tx = grant_tx(alice, seeded_keypair(3), seq=1)
+        assert loaded.submit(tx) == 1
+        assert access_modes() == sorted([os.O_RDONLY, os.O_WRONLY])
+        loaded.close()
+        assert access_modes() == []
+        reloaded = Registry.load(path)
+        assert reloaded.height == 1
+        reloaded.close()
 
     def test_chain_files_are_closed_not_left_to_the_collector(self, tmp_path, admin, alice):
         path = tmp_path / "chain.ndjson"
@@ -635,9 +709,9 @@ class TestStateNotHistory:
             gc.collect()
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
-    @pytest.mark.parametrize("backed", ["file", "memory"])
+    @pytest.mark.parametrize("backed", ["path", "no-path"])
     def test_reads_stream_beside_submits(self, tmp_path, admin, alice, churn_txs, backed):
-        path = tmp_path / "chain.ndjson" if backed == "file" else None
+        path = tmp_path / "chain.ndjson" if backed == "path" else None
         reg = Registry.create(admin.public_key, [MemberId(alice.public_key, "alice")], path)
         txs = churn_txs[:200]
         heights, problems, reads = [], [], [0]

@@ -184,6 +184,8 @@ def run_bench(iterations: int = 1000) -> dict:
                 unregister_local(name)
     finally:
         unregister_local("bench-gateway")
+        hub.close()
+        registry.close()
 
     return {
         "iterations": iterations,

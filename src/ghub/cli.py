@@ -2,8 +2,9 @@
 operations; no signing or ledger logic lives here.
 
 Exit codes: 0 success, 1 protocol denial or remote failure, 2 usage or
-config error. Pass --json for machine-readable output, --now to pin the
-clock for reproducible runs.
+config error. Pass --json for machine-readable output; the commands that
+read a clock (grant, resolve, guest-access) take --now to pin it for
+reproducible runs.
 """
 
 from __future__ import annotations
@@ -283,9 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ghub", description="Guest access control for multi-tenant IoT hubs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, now: bool = False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--now", type=int, default=None, help="virtual clock (seconds since epoch)")
+        if now:  # only the commands that read a clock
+            p.add_argument("--now", type=int, default=None, help="virtual clock (seconds since epoch)")
 
     p = sub.add_parser("keygen", help="generate an Ed25519 keypair and print its DID")
     p.add_argument("--out", required=True, help="seed envelope path; <out>.pub gets the public envelope")
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry", required=True, help="registry endpoint host:port")
     p.add_argument("--label", default="owner", help="registry member label")
     p.add_argument("--seq", type=int, default=None, help="override the replay-protection counter")
-    common(p)
+    common(p, now=True)
     p.set_defaults(func=cmd_grant)
 
     p = sub.add_parser("revoke", help="revoke a guest DID")
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolve", help="look a DID up in the registry")
     p.add_argument("--did", required=True)
     p.add_argument("--registry", required=True)
-    common(p)
+    common(p, now=True)
     p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("guest-access", help="authenticate to a hub and invoke a resource")
@@ -328,13 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--action", required=True)
     p.add_argument("--payload", default=None, help="JSON payload for write/actuate")
     p.add_argument("--context", default=None, help="JSON object of context values")
-    common(p)
+    common(p, now=True)
     p.set_defaults(func=cmd_guest_access)
 
     p = sub.add_parser("serve", help="run a service from a config file")
     p.add_argument("--role", required=True, choices=sorted(_BUILDERS))
     p.add_argument("--config", required=True)
-    common(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("scenario", help="run a scenario file (or a bundled name)")

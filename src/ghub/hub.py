@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 from . import pdp
 from .identity import (
+    RESOURCE_SCHEME,
     Challenge,
     Did,
     DocumentStatus,
@@ -280,9 +281,9 @@ class Hub:
 
     def _route(self, resource: str) -> GatewayLink | None:
         # resources are "iot:<gateway_id>/<path>"; route on the gateway segment
-        if not resource.startswith("iot:"):
+        if not resource.startswith(RESOURCE_SCHEME):
             return None
-        gateway_id = resource[len("iot:"):].split("/", 1)[0]
+        gateway_id = resource[len(RESOURCE_SCHEME):].split("/", 1)[0]
         return self.config.gateway_links.get(gateway_id)
 
     # -- housekeeping -----------------------------------------------------------------

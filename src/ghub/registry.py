@@ -19,7 +19,8 @@ import itertools
 import os
 import tempfile
 import threading
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -122,22 +123,9 @@ def tx_signing_bytes(tx: RegistryTx) -> bytes:
 
 def signed_tx(kind: str, did, payload, submitter_keypair, label: str, seq: int) -> RegistryTx:
     """Build and sign a transaction with the submitting member's key."""
-    tx = RegistryTx(
-        kind=kind,
-        did=as_did(did),
-        payload=payload,
-        submitter=MemberId(public_key=submitter_keypair.public_key, label=label),
-        seq=seq,
-        submitter_signature=b"",
-    )
-    return RegistryTx(
-        kind=tx.kind,
-        did=tx.did,
-        payload=tx.payload,
-        submitter=tx.submitter,
-        seq=tx.seq,
-        submitter_signature=submitter_keypair.sign(tx_signing_bytes(tx)),
-    )
+    submitter = MemberId(public_key=submitter_keypair.public_key, label=label)
+    tx = RegistryTx(kind, as_did(did), payload, submitter, seq, submitter_signature=b"")
+    return replace(tx, submitter_signature=submitter_keypair.sign(tx_signing_bytes(tx)))
 
 
 def member_admission_bytes(member: MemberId) -> bytes:
@@ -194,6 +182,15 @@ def _parsed(lines: Iterable[bytes]) -> Iterator[LedgerBlock]:
             raise RegistryError("CorruptChain", f"block {height}: {exc}") from exc
 
 
+@contextmanager
+def _malformed() -> Iterator[None]:
+    """Parse an entry inside this: what a malformed entry raises becomes MalformedTx."""
+    try:
+        yield
+    except _MALFORMED as exc:
+        raise RegistryError("MalformedTx", str(exc)) from exc
+
+
 def _no_create(path, flags: int) -> int:
     """An `open` opener that never creates the file: a missing chain is an error."""
     return os.open(path, flags & ~os.O_CREAT)
@@ -236,8 +233,8 @@ class Registry:
         self._lock = threading.RLock()
         self._members: dict[bytes, str] = {}
         self._member_seq: dict[bytes, int] = {}
-        # did -> (status: "active"|"revoked", latest signed document)
-        self._state: dict[str, tuple[str, SignedDidDocument]] = {}
+        # did -> (ResolutionStatus.ACTIVE or REVOKED, latest signed document)
+        self._state: dict[str, tuple[ResolutionStatus, SignedDidDocument]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -291,7 +288,7 @@ class Registry:
         rules every append obeys.
 
         Raises CorruptChain on a broken link, a hash mismatch, or an entry that
-        `_validate_entry` refuses. A block may hold several entries. Only the
+        `_check` refuses. A block may hold several entries. Only the
         height and head hash are kept of the blocks themselves."""
         try:
             blocks = iter(blocks)
@@ -306,8 +303,7 @@ class Registry:
                 if _block_hash(height, reg._head, list(block.txs)) != block.block_hash:
                     raise RegistryError("CorruptChain", "hash mismatch")
                 for entry in block.txs:
-                    reg._validate_entry(entry, sole=len(block.txs) == 1)
-                    reg._apply_entry(entry)
+                    reg._check(entry, sole=len(block.txs) == 1)()
             except (RegistryError, *_MALFORMED) as exc:
                 raise RegistryError("CorruptChain", f"block {height}: {exc}") from exc
             reg._height, reg._head = height, block.block_hash
@@ -330,17 +326,17 @@ class Registry:
         return self._append(tx.to_json())
 
     def _append(self, entry: dict) -> int:
-        """Validate one entry, persist it as the next block, and only then apply
-        it, so a failed write leaves state and chain as they were."""
+        """Check one entry, persist it as the next block, and only then apply its
+        state change, so a failed write leaves state and chain as they were."""
         with self._lock:
-            self._validate_entry(entry, sole=True)
-            height = self._height + 1
-            block = LedgerBlock(height, self._head, (entry,), _block_hash(height, self._head, [entry]))
-            line = canonical_bytes(block.to_json()) + b"\n"
-            self._write(line)
-            self._size += len(line)
-            self._apply_entry(entry)
-            self._height, self._head = height, block.block_hash
+            apply = self._check(entry, sole=True)
+            height, prev_hash = self._height + 1, self._head
+            block_hash = _block_hash(height, prev_hash, [entry])
+            line = canonical_bytes({"height": height, "prev_hash": prev_hash, "txs": [entry], "block_hash": block_hash})
+            self._write(line + b"\n")
+            self._size += len(line) + 1
+            apply()
+            self._height, self._head = height, block_hash
             return height
 
     def _write(self, line: bytes) -> None:
@@ -369,6 +365,8 @@ class Registry:
             elif self._chain is None:
                 self._appender = open(self._chain_path, "a+b", buffering=0)
             else:  # loaded: append to the file that was replayed, and never create one
+                if self._read(1, self._size - 1) != b"\n":
+                    raise OSError(errno.EIO, "the chain's last block has no line end", str(self._chain_path))
                 replayed = os.fstat(self._chain.fileno())
                 appender = open(self._chain_path, "ab", buffering=0, opener=_no_create)
                 if not os.path.samestat(os.fstat(appender.fileno()), replayed):
@@ -395,9 +393,11 @@ class Registry:
 
     # -- validation ----------------------------------------------------------
 
-    def _validate_entry(self, entry: dict, sole: bool) -> None:
-        """Every chain rule for one entry against the current state. `sole` says
-        the entry is alone in its block; height 0 holds exactly the genesis entry."""
+    def _check(self, entry: dict, sole: bool) -> Callable[[], None]:
+        """Every chain rule for one entry against the current state, parsing the
+        entry once; returns the entry's state change, which the caller applies
+        once the entry is committed. `sole` says the entry is alone in its block;
+        height 0 holds exactly the genesis entry."""
         if not isinstance(entry, dict):
             raise RegistryError("MalformedTx", "an entry must be a JSON object")
         kind = entry.get("kind")
@@ -405,106 +405,71 @@ class Registry:
         if (kind == KIND_GENESIS) != at_genesis or (at_genesis and not sole):
             raise RegistryError("MalformedTx", "the genesis entry appears alone at height 0, and only there")
         if kind == KIND_GENESIS:
-            try:
+            with _malformed():
                 admin_key = unb64(entry["admin_key"])
-                keys = [MemberId.from_json(m).public_key for m in entry["members"]]
-            except _MALFORMED as exc:
-                raise RegistryError("MalformedTx", str(exc)) from exc
+                members = [MemberId.from_json(m) for m in entry["members"]]
             if admin_key != self.admin_key:
                 raise RegistryError("MalformedTx", "genesis names another admin key")
-            if len(set(keys)) != len(keys):
+            if len({m.public_key for m in members}) != len(members):
                 raise RegistryError("DuplicateMember", "genesis lists a member key twice")
-            return
+            return partial(self._members.update, {m.public_key: m.label for m in members})
         if kind == KIND_ADMIT:
-            try:
+            with _malformed():
                 member = MemberId.from_json(entry["member"])
                 signature = unb64(entry["admin_signature"])
-            except _MALFORMED as exc:
-                raise RegistryError("MalformedTx", str(exc)) from exc
             if not verify_signature(self.admin_key, signature, member_admission_bytes(member)):
                 raise RegistryError("BadAdminSignature", f"admission of {member.label!r} not signed by admin")
             if member.public_key in self._members:
                 raise RegistryError("DuplicateMember", f"{member.label!r} is already a member")
-            return
+            return partial(self._members.__setitem__, member.public_key, member.label)
         if kind not in DID_TX_KINDS:
             raise RegistryError("MalformedTx", f"unknown tx kind {kind!r}")
-        try:
+        with _malformed():
             tx = RegistryTx.from_json(entry)
-        except _MALFORMED as exc:
-            raise RegistryError("MalformedTx", str(exc)) from exc
-        self._check_did_tx(tx)
-
-    def _check_did_tx(self, tx: RegistryTx) -> None:
-        if tx.submitter.public_key not in self._members:
+        key = tx.submitter.public_key
+        if key not in self._members:
             raise RegistryError("NotAMember", f"{tx.submitter.label!r} is not an admitted member")
-        if not verify_signature(tx.submitter.public_key, tx.submitter_signature, tx_signing_bytes(tx)):
+        if not verify_signature(key, tx.submitter_signature, tx_signing_bytes(tx)):
             raise RegistryError("BadSignature", "submitter signature does not verify")
-        last = self._member_seq.get(tx.submitter.public_key, 0)
+        last = self._member_seq.get(key, 0)
         if tx.seq <= last:
             raise RegistryError("StaleSeq", f"seq {tx.seq} not greater than last accepted {last}")
-        submitter_did = derive_did(tx.submitter.public_key)
-
+        if (tx.payload is None) != (tx.kind == KIND_REVOKE):
+            raise RegistryError("MalformedTx", "create and update carry a signed document payload, revoke none")
+        submitter_did = derive_did(key)
         did_key = tx.did.render()
         current = self._state.get(did_key)
-
         if tx.kind == KIND_CREATE:
-            if tx.payload is None:
-                raise RegistryError("MalformedTx", "create requires a signed document payload")
             if current is not None:
                 raise RegistryError("DuplicateDid", f"{did_key} already exists")
-            self._check_payload(tx, expected_controller=submitter_did)
-        elif tx.kind == KIND_UPDATE:
-            if tx.payload is None:
-                raise RegistryError("MalformedTx", "update requires a signed document payload")
+        else:  # update and revoke act on a live DID of the submitter's
             if current is None:
                 raise RegistryError("UnknownDid", f"{did_key} was never created")
-            if current[0] == "revoked":
+            if current[0] is ResolutionStatus.REVOKED:
                 raise RegistryError("RevokedDid", f"{did_key} is revoked")
             if current[1].document.controller != submitter_did:
-                raise RegistryError("ControllerMismatch", "update not submitted by the controller")
-            self._check_payload(tx, expected_controller=current[1].document.controller)
-        else:  # revoke
-            if tx.payload is not None:
-                raise RegistryError("MalformedTx", "revoke carries no payload")
-            if current is None:
-                raise RegistryError("UnknownDid", f"{did_key} was never created")
-            if current[0] == "revoked":
-                raise RegistryError("RevokedDid", f"{did_key} is already revoked")
-            if current[1].document.controller != submitter_did:
-                raise RegistryError("ControllerMismatch", "revoke not submitted by the controller")
-
-    def _check_payload(self, tx: RegistryTx, expected_controller: Did) -> None:
+                raise RegistryError("ControllerMismatch", f"{tx.kind} not submitted by the controller")
         sdoc = tx.payload
-        assert sdoc is not None
-        if sdoc.document.id != tx.did:
-            raise RegistryError("MalformedTx", "payload document id does not match the tx did")
-        problems = sdoc.document.structural_errors()
-        if problems:
-            raise RegistryError("MalformedTx", "; ".join(problems))
-        if sdoc.document.controller != expected_controller or sdoc.signer != sdoc.document.controller:
-            raise RegistryError("ControllerMismatch", "document controller does not match the submitter")
-        # the submitter IS the controller, so its member key verifies the owner signature
-        if not verify_signature(tx.submitter.public_key, sdoc.signature, canonicalize(sdoc.document)):
-            raise RegistryError("BadSignature", "owner signature over the document does not verify")
-
-    def _apply_entry(self, entry: dict) -> None:
-        kind = entry["kind"]
-        if kind == KIND_GENESIS:
-            for m in entry["members"]:
-                member = MemberId.from_json(m)
-                self._members[member.public_key] = member.label
-            return
-        if kind == KIND_ADMIT:
-            member = MemberId.from_json(entry["member"])
-            self._members[member.public_key] = member.label
-            return
-        tx = RegistryTx.from_json(entry)
-        self._member_seq[tx.submitter.public_key] = tx.seq
-        did_key = tx.did.render()
-        if tx.kind in (KIND_CREATE, KIND_UPDATE):
-            self._state[did_key] = ("active", tx.payload)
+        if sdoc is None:
+            state = (ResolutionStatus.REVOKED, current[1])
         else:
-            self._state[did_key] = ("revoked", self._state[did_key][1])
+            if sdoc.document.id != tx.did:
+                raise RegistryError("MalformedTx", "payload document id does not match the tx did")
+            problems = sdoc.document.structural_errors()
+            if problems:
+                raise RegistryError("MalformedTx", "; ".join(problems))
+            if sdoc.document.controller != submitter_did or sdoc.signer != submitter_did:
+                raise RegistryError("ControllerMismatch", "document controller does not match the submitter")
+            # the submitter IS the controller, so its member key verifies the owner signature
+            if not verify_signature(key, sdoc.signature, canonicalize(sdoc.document)):
+                raise RegistryError("BadSignature", "owner signature over the document does not verify")
+            state = (ResolutionStatus.ACTIVE, sdoc)
+
+        def apply() -> None:
+            self._member_seq[key] = tx.seq
+            self._state[did_key] = state
+
+        return apply
 
     # -- read path -----------------------------------------------------------
 
@@ -529,12 +494,10 @@ class Registry:
             current = self._state.get(did_key)
         if current is None:
             return ResolutionResult(ResolutionStatus.NOT_FOUND, None, head)
-        status_tag, sdoc = current
-        if status_tag == "revoked":
-            return ResolutionResult(ResolutionStatus.REVOKED, sdoc, head)
-        if now >= sdoc.document.not_after:
-            return ResolutionResult(ResolutionStatus.EXPIRED, sdoc, head)
-        return ResolutionResult(ResolutionStatus.ACTIVE, sdoc, head)
+        status, sdoc = current
+        if status is ResolutionStatus.ACTIVE and now >= sdoc.document.not_after:
+            status = ResolutionStatus.EXPIRED
+        return ResolutionResult(status, sdoc, head)
 
     def history(self, did) -> list[tuple[int, RegistryTx]]:
         """The DID's transactions in chain order, streamed from the chain."""

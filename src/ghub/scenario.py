@@ -163,6 +163,9 @@ class ScenarioWorld:
     def close(self) -> None:
         for name in self._local_names:
             unregister_local(name)
+        for hub in self.hubs.values():
+            hub.close()
+        self.registry.close()
 
     def __enter__(self) -> "ScenarioWorld":
         return self

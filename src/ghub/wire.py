@@ -129,10 +129,6 @@ class Dispatcher:
     def __init__(self, handlers: dict[str, Callable[[Any], Any]]):
         self._handlers = dict(handlers)
 
-    @property
-    def ops(self) -> tuple[str, ...]:
-        return tuple(sorted(self._handlers))
-
     def handle(self, envelope: Envelope) -> Envelope:
         handler = self._handlers.get(envelope.op)
         if handler is None:

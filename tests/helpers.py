@@ -45,6 +45,8 @@ class SimpleWorld:
     def close(self):
         for name in self.local_names:
             unregister_local(name)
+        self.hub.close()
+        self.registry.close()
 
     def __enter__(self):
         return self

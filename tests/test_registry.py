@@ -778,3 +778,55 @@ class TestStateNotHistory:
         assert result == [True]
         assert replaying, "the submit waited for the replay to end"
         reg.close()
+
+
+class TestOneCheckPerEntry:
+    """Submit and replay check each entry and apply its state change in one pass."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        kinds = []
+        from_json = RegistryTx.from_json.__func__
+
+        def counted(cls, obj):
+            kinds.append(obj["kind"])
+            return from_json(cls, obj)
+
+        monkeypatch.setattr(RegistryTx, "from_json", classmethod(counted))
+        return kinds
+
+    def test_each_did_entry_is_parsed_once(self, tmp_path, admin, alice, parses):
+        path = tmp_path / "chain.ndjson"
+        reg = Registry.create(admin.public_key, [MemberId(alice.public_key, "alice")], path)
+        guest = seeded_keypair(3)
+        did, create = grant_tx(alice, guest, seq=1)
+        _, update = grant_tx(alice, guest, seq=2, resources=("iot:hue/light2",), kind=KIND_UPDATE)
+        revoke = signed_tx(KIND_REVOKE, did, None, alice, "alice", 3)
+        for height, tx in enumerate((create, update, revoke), start=1):
+            assert reg.submit(tx) == height
+            assert len(parses) == height
+        reg.close()
+        parses.clear()
+        loaded = Registry.load(path)
+        assert parses == [KIND_CREATE, KIND_UPDATE, KIND_REVOKE]
+        assert loaded.resolve(did, NOW).status is ResolutionStatus.REVOKED
+        loaded.close()
+
+    def test_no_append_onto_an_unterminated_last_block(self, tmp_path, admin, alice):
+        path = tmp_path / "chain.ndjson"
+        reg = Registry.create(admin.public_key, [MemberId(alice.public_key, "alice")], path)
+        did, tx = grant_tx(alice, seeded_keypair(3), seq=1)
+        reg.submit(tx)
+        reg.close()
+        path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+        unterminated = path.read_bytes()
+        loaded = Registry.load(path)
+        refused_did, refused = grant_tx(alice, seeded_keypair(4), seq=2)
+        with pytest.raises(OSError):
+            loaded.submit(refused)
+        assert path.read_bytes() == unterminated
+        assert loaded.height == 1 and loaded.verify_chain()
+        assert loaded.resolve(did, NOW).status is ResolutionStatus.ACTIVE
+        assert loaded.resolve(refused_did, NOW).status is ResolutionStatus.NOT_FOUND
+        loaded.close()
+        Registry.load(path).close()

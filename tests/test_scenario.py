@@ -1,11 +1,14 @@
+import gc
 import json
+import warnings
 
 import pytest
 
 from ghub.client import GuestAgent, HubClient, Owner
 from ghub.hub import serve_hub
 from ghub.registry import Registry, RegistryClient, MemberId, registry_dispatcher, ResolutionStatus
-from ghub.scenario import _subset_matches, load_scenario, run_scenario
+from ghub.bench import run_bench
+from ghub.scenario import BUNDLED, _subset_matches, load_scenario, run_scenario
 from ghub.wire import WireServer
 from helpers import NOW, build_simple_world, seeded_keypair
 
@@ -209,3 +212,13 @@ class TestScenarioRunner:
         payload = report.to_json()
         assert payload["passed"] is True
         assert all("outcome" in s for s in payload["steps"])
+
+
+def test_in_process_worlds_close_what_they_build():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for name in sorted(BUNDLED):
+            assert run_scenario(load_scenario(name)).passed
+        run_bench(iterations=5)
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []

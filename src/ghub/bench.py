@@ -13,22 +13,40 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .client import Owner
-from .gateway import Gateway
-from .hub import GatewayLink, Hub, HubConfig
 from .identity import (
+    build_and_sign_guest_document,
     generate_keypair,
     make_challenge,
     respond_to_challenge,
     verify_challenge,
+    verify_signature,
 )
-from .pdp import PdpReplica, PolicyRequest, decide, parse_policy
-from .registry import MemberId, Registry
-from .wire import register_local, unregister_local
+from .pdp import PolicyRequest, decide
+from .registry import KIND_CREATE, signed_tx
+from .scenario import ScenarioWorld
 
 CRYPTO_BUDGET_MS = 25.0
 SERVICE_BUDGET_MS = 50.0
 LEDGER_COMMIT_REFERENCE_MS = 2500.0
+
+# The in-process fixtures: one owner and guest, a gateway, three replicas
+# serving one policy, and a hub whose small cache keeps most calls misses.
+BENCH_WORLD = {
+    "clock": 1_000_000,
+    "owners": [{"name": "bench-owner"}],
+    "guests": [{"name": "bench-guest"}],
+    "gateways": [{"id": "bench-gw", "accounts": {"owner": "pw"}, "resources": {"iot:bench-gw/thing": 0}}],
+    "policies": {"bench-policy": {"clauses": [{"effect": "allow", "resource_pattern": "iot:*", "ttl_seconds": 300}]}},
+    "pdp_replicas": [{"id": f"bench-r{i}"} for i in range(3)],
+    "hubs": [
+        {"id": "bench-hub", "owner": "bench-owner", "cache_capacity": 4,
+         "links": [{"gateway": "bench-gw", "username": "owner", "password": "pw"}]},
+    ],
+}
+BENCH_SETUP = [
+    {"do": "grant", "owner": "bench-owner", "guest": "bench-guest", "resources": ["iot:bench-gw/thing"], "expires_in": 7200},
+    {"do": "authenticate", "guest": "bench-guest", "hub": "bench-hub"},
+]
 
 
 @dataclass
@@ -69,123 +87,63 @@ def run_bench(iterations: int = 1000) -> dict:
     if iterations < 1:
         raise ValueError("iterations must be positive")
     rows: list[BenchRow] = []
-    now = 1_000_000
+    now = BENCH_WORLD["clock"]
+
+    def timed(name: str, fn, budget_ms: float) -> None:
+        rows.append(BenchRow(name, iterations, *_time_loop(fn, iterations), budget_ms))
 
     signer = generate_keypair()
     message = b"m" * 256
     signature = signer.sign(message)
-    rows.append(BenchRow("sign", iterations, *_time_loop(lambda: signer.sign(message), iterations), CRYPTO_BUDGET_MS))
-
-    from .identity import verify_signature
-
-    rows.append(
-        BenchRow(
-            "verify",
-            iterations,
-            *_time_loop(lambda: verify_signature(signer.public_key, signature, message), iterations),
-            CRYPTO_BUDGET_MS,
-        )
-    )
+    timed("sign", lambda: signer.sign(message), CRYPTO_BUDGET_MS)
+    timed("verify", lambda: verify_signature(signer.public_key, signature, message), CRYPTO_BUDGET_MS)
 
     def challenge_round_trip():
         challenge = make_challenge("bench-hub", now)
         response = respond_to_challenge(challenge, signer)
         assert verify_challenge(challenge, response, signer.public_key)
 
-    rows.append(BenchRow("challenge_round_trip", iterations, *_time_loop(challenge_round_trip, iterations), CRYPTO_BUDGET_MS))
+    timed("challenge_round_trip", challenge_round_trip, CRYPTO_BUDGET_MS)
 
-    # registry submit: one pre-signed create per iteration, timing only submit()
-    owner = Owner(keypair=generate_keypair(), label="bench-owner")
-    admin = generate_keypair()
-    registry = Registry.create(admin.public_key, [MemberId(owner.keypair.public_key, owner.label)])
-    from .identity import build_and_sign_guest_document
-    from .registry import KIND_CREATE, signed_tx
+    with ScenarioWorld(BENCH_WORLD) as world:
+        # registry submit: one pre-signed create per iteration, timing only submit()
+        owner = world.owners["bench-owner"]
+        pending = []
+        for _ in range(iterations):
+            sdoc = build_and_sign_guest_document(
+                owner.keypair, generate_keypair().public_key, ["iot:bench/thing"], None, now + 3600, now
+            )
+            pending.append(signed_tx(KIND_CREATE, sdoc.document.id, sdoc, owner.keypair, owner.label, owner.bump_seq()))
+        pending_iter = iter(pending)
+        timed("registry_submit", lambda: world.registry.submit(next(pending_iter)), SERVICE_BUDGET_MS)
+        target_did = pending[0].did
+        timed("registry_resolve", lambda: world.registry.resolve(target_did, now), SERVICE_BUDGET_MS)
 
-    pending = []
-    for _ in range(iterations):
-        guest = generate_keypair()
-        sdoc = build_and_sign_guest_document(
-            owner.keypair, guest.public_key, ["iot:bench/thing"], None, now + 3600, now
-        )
-        pending.append(signed_tx(KIND_CREATE, sdoc.document.id, sdoc, owner.keypair, owner.label, owner.bump_seq()))
-    pending_iter = iter(pending)
-    p50, p95 = _time_loop(lambda: registry.submit(next(pending_iter)), iterations)
-    rows.append(BenchRow("registry_submit", iterations, p50, p95, SERVICE_BUDGET_MS))
+        for step in BENCH_SETUP:
+            outcome = world.run_step(step)
+            if outcome.get("status") != "ok":
+                raise RuntimeError(f"bench set-up step {step['do']!r} failed: {outcome}")
+        hub = world.hubs["bench-hub"]
+        session = world.sessions[("bench-guest", "bench-hub")]
+        counter = iter(range(10 * iterations))
 
-    target_did = pending[0].did
-    rows.append(
-        BenchRow(
-            "registry_resolve",
-            iterations,
-            *_time_loop(lambda: registry.resolve(target_did, now), iterations),
-            SERVICE_BUDGET_MS,
-        )
-    )
+        # simple authorize: unique action per call keeps every call a cache miss
+        def authorize_simple():
+            hub.authorize(session, "iot:bench-gw/thing", f"read-{next(counter)}", None, now)
 
-    # simple authorize: unique action per call keeps every call a cache miss
-    gateway = Gateway("bench-gw", {"owner": "pw"}, {"iot:bench-gw/thing": 0})
-    gw_endpoint = register_local("bench-gateway", gateway.dispatcher())
-    token = gateway.link_account("owner", "pw", now)
-    guest = generate_keypair()
-    sdoc = build_and_sign_guest_document(
-        owner.keypair, guest.public_key, ["iot:bench-gw/thing"], None, now + 7200, now
-    )
-    registry.submit(signed_tx(KIND_CREATE, sdoc.document.id, sdoc, owner.keypair, owner.label, owner.bump_seq()))
-    hub = Hub(
-        HubConfig(
-            hub_id="bench-hub",
-            registry_endpoint=registry,
-            known_owners={owner.did.render(): owner.keypair.public_key},
-            gateway_links={"bench-gw": GatewayLink(gw_endpoint, token)},
-            cache_capacity=4,
-        )
-    )
-    challenge = hub.begin_auth(guest.did, now)
-    session = hub.complete_auth(guest.did, respond_to_challenge(challenge, guest), now)
-    counter = iter(range(10 * iterations))
-
-    def authorize_simple():
-        hub.authorize(session, "iot:bench-gw/thing", f"read-{next(counter)}", None, now)
-
-    try:
-        rows.append(BenchRow("authorize_simple", iterations, *_time_loop(authorize_simple, iterations), SERVICE_BUDGET_MS))
+        timed("authorize_simple", authorize_simple, SERVICE_BUDGET_MS)
 
         # delegated decision across three in-process replicas
-        rule = parse_policy(
-            {
-                "policy_id": "bench-policy",
-                "clauses": [{"effect": "allow", "resource_pattern": "iot:*", "ttl_seconds": 300}],
-            }
-        )
-        replica_names = []
-        endpoints = []
-        keys = {}
-        for i in range(3):
-            replica = PdpReplica(f"bench-r{i}", generate_keypair(), {"bench-policy": rule})
-            name = f"bench-replica-{i}"
-            endpoints.append(replica.serve_local(name))
-            replica_names.append(name)
-            keys[replica.replica_id] = replica.key.public_key
-        uri = f"pdp://{','.join(endpoints)}/bench-policy?consensus=majority"
-        req = PolicyRequest(
-            guest_did=guest.did.render(), resource="iot:bench-gw/thing", action="read", context={}, now=now
-        )
+        uri = world.resolve_policy_uri("pdp://bench-r0,bench-r1,bench-r2/bench-policy?consensus=majority")
+        keys = {rid: replica.key.public_key for rid, replica in world.replicas.items()}
+        guest_did = world.grants[("bench-owner", "bench-guest")]
+        req = PolicyRequest(guest_did=guest_did, resource="iot:bench-gw/thing", action="read", context={}, now=now)
 
         def decide_delegated():
             decision = decide(uri, req, keys, timeout=5.0)
             assert decision.granted
 
-        try:
-            rows.append(
-                BenchRow("decide_delegated_3", iterations, *_time_loop(decide_delegated, iterations), SERVICE_BUDGET_MS)
-            )
-        finally:
-            for name in replica_names:
-                unregister_local(name)
-    finally:
-        unregister_local("bench-gateway")
-        hub.close()
-        registry.close()
+        timed("decide_delegated_3", decide_delegated, SERVICE_BUDGET_MS)
 
     return {
         "iterations": iterations,

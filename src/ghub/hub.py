@@ -69,8 +69,6 @@ class GuestSession:
     session_id: str
     guest_did: Did
     document: SignedDidDocument
-    authenticated_at: int
-    resolved_at_height: int
 
 
 class DecisionCache:
@@ -124,7 +122,7 @@ class Hub:
         resolver = config.registry_endpoint
         self._registry = RegistryClient(resolver, pool=self._pool) if isinstance(resolver, str) else resolver
         self._cache = DecisionCache(config.cache_capacity)
-        self._challenges: dict[str, tuple[Challenge, SignedDidDocument, int]] = {}
+        self._challenges: dict[str, tuple[Challenge, SignedDidDocument]] = {}
         self._sessions: dict[str, GuestSession] = {}
         self._session_of: dict[str, str] = {}  # guest DID -> its one live session id
         self._nonces = NonceWindow()
@@ -136,12 +134,12 @@ class Hub:
     def begin_auth(self, guest_did, now: int) -> Challenge:
         """Resolve and vet the guest's document, then issue a challenge."""
         did = as_did(guest_did)
-        sdoc, height = self._resolve_active(did, now)
+        sdoc = self._resolve_active(did, now)
         challenge = make_challenge(self.config.hub_id, now)
         while not self._nonces.add(challenge.nonce):
             challenge = make_challenge(self.config.hub_id, now)
         with self._lock:
-            self._challenges[did.render()] = (challenge, sdoc, height)
+            self._challenges[did.render()] = (challenge, sdoc)
         return challenge
 
     def complete_auth(self, guest_did, response: bytes, now: int) -> GuestSession:
@@ -150,18 +148,12 @@ class Hub:
             entry = self._challenges.pop(did.render(), None)
         if entry is None:
             raise HubError("NoChallenge", f"no outstanding challenge for {did}")
-        challenge, sdoc, height = entry
+        challenge, sdoc = entry
         if now - challenge.issued_at > self.config.challenge_ttl:
             raise HubError("ChallengeExpired", "challenge is too old")
         if not verify_challenge(challenge, response, sdoc.document.guest_key):
             raise HubError("BadResponse", "challenge response does not verify")
-        session = GuestSession(
-            session_id=secrets.token_hex(16),
-            guest_did=did,
-            document=sdoc,
-            authenticated_at=now,
-            resolved_at_height=height,
-        )
+        session = GuestSession(session_id=secrets.token_hex(16), guest_did=did, document=sdoc)
         with self._lock:
             # one live session per guest: a new handshake ends the previous session
             previous = self._session_of.get(did.render())
@@ -171,7 +163,7 @@ class Hub:
             self._session_of[did.render()] = session.session_id
         return session
 
-    def _resolve_active(self, did: Did, now: int) -> tuple[SignedDidDocument, int]:
+    def _resolve_active(self, did: Did, now: int) -> SignedDidDocument:
         result = self._registry.resolve(did, now)
         if result.status == ResolutionStatus.NOT_FOUND:
             raise HubError("UnknownDid", f"{did} is not registered")
@@ -188,7 +180,7 @@ class Hub:
             raise HubError("DocumentExpired", f"{did} has expired")
         if status != DocumentStatus.ACTIVE:
             raise HubError("BadOwnerSignature", f"document for {did} failed verification ({status.value})")
-        return sdoc, result.as_of
+        return sdoc
 
     # -- authorization -----------------------------------------------------------
 
@@ -214,14 +206,13 @@ class Hub:
     def _decide(self, sess: GuestSession, resource: str, action: str, context: dict, now: int) -> AccessDecision:
         # cache miss: re-resolve so revocations and updates are picked up
         try:
-            sdoc, height = self._resolve_active(sess.guest_did, now)
+            sdoc = self._resolve_active(sess.guest_did, now)
         except HubError as exc:
             if exc.code == "DocumentExpired":
                 self._drop_session(sess.session_id)
                 raise HubError("SessionExpired", exc.message) from exc
             return AccessDecision(False, now, SOURCE_SIMPLE, f"re-resolve failed: {exc.code}")
         sess.document = sdoc
-        sess.resolved_at_height = height
         doc = sdoc.document
 
         if doc.policy_endpoint is None:
@@ -296,12 +287,11 @@ class Hub:
             return self._sessions.get(session_id)
 
     def _session(self, session) -> GuestSession:
-        if isinstance(session, GuestSession):
-            return session
-        with self._lock:
-            sess = self._sessions.get(session)
+        # a GuestSession is looked up by its id, as on the wire, so an ended one is refused
+        session_id = session.session_id if isinstance(session, GuestSession) else session
+        sess = self.session(session_id)
         if sess is None:
-            raise HubError("UnknownSession", f"no session {session!r}")
+            raise HubError("UnknownSession", f"no session {session_id!r}")
         return sess
 
     def _drop_session(self, session_id: str) -> None:

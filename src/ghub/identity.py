@@ -260,14 +260,11 @@ def build_and_sign_guest_document(
     """
     if not_after <= now:
         raise ValueError(f"not_after ({not_after}) must be strictly after now ({now})")
-    resources = frozenset(resources)
-    if not resources and policy_endpoint is None:
-        raise ValueError("grant authorizes nothing: no resources and no policy endpoint")
     document = DidDocument(
         id=derive_did(guest_key),
         guest_key=guest_key,
         auth_method=AUTH_METHOD_ED25519,
-        resources=resources,
+        resources=frozenset(resources),
         policy_endpoint=policy_endpoint,
         not_after=not_after,
         controller=owner.did,

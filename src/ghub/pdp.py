@@ -19,7 +19,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from .canonical import canonical_bytes, parse as parse_json
 from .identity import Keypair, b64, unb64, verify_signature
-from .wire import WORKERS, ConnectionPool, Dispatcher, ServiceError, WireServer, register_local, request
+from .wire import WORKERS, ConnectionPool, Dispatcher, ServiceError, WireServer, request
 
 ALLOW = "allow"
 DENY = "deny"
@@ -396,9 +396,6 @@ class PdpReplica:
             return self.evaluate_policy(str(body["policy_id"]), req).to_json()
 
         return Dispatcher({"pdp.evaluate": _evaluate})
-
-    def serve_local(self, name: str) -> str:
-        return register_local(name, self.dispatcher())
 
 
 def serve_replica(replica: PdpReplica, host: str = "127.0.0.1", port: int = 0) -> WireServer:

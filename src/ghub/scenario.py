@@ -128,10 +128,11 @@ class ScenarioWorld:
             self.replica_endpoints[rid] = self._register(f"pdp-{rid}", replica.dispatcher())
 
         self.hubs: dict[str, Hub] = {}
+        self._hub_owners: dict[str, list[str]] = {}
         self.hub_tokens: dict[tuple[str, str], str] = {}  # (hub, gateway) -> owner token
         for entry in spec.get("hubs", []):
             hub_id = entry["id"]
-            owner_names = entry.get("owners", [entry["owner"]] if "owner" in entry else [])
+            owner_names = self._hub_owners[hub_id] = entry.get("owners", [entry["owner"]] if "owner" in entry else [])
             known = {self.owners[n].did.render(): self.owners[n].keypair.public_key for n in owner_names}
             links = {}
             for link in entry.get("links", []):
@@ -292,12 +293,10 @@ class ScenarioWorld:
         raise ScenarioError(f"unknown check kind {kind!r}")
 
     def _sole_owner(self, hub_id: str) -> str:
-        for entry in self.spec.get("hubs", []):
-            if entry["id"] == hub_id:
-                owners = entry.get("owners", [entry["owner"]] if "owner" in entry else [])
-                if len(owners) == 1:
-                    return owners[0]
-        raise ScenarioError(f"step needs an explicit owner: hub {hub_id} has multiple")
+        owners = self._hub_owners[hub_id]
+        if len(owners) != 1:
+            raise ScenarioError(f"step needs an explicit owner: hub {hub_id} has multiple")
+        return owners[0]
 
 
 def run_scenario(spec: dict) -> ScenarioReport:

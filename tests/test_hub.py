@@ -415,6 +415,16 @@ class TestSessions:
             body, _ = world.hub.access(second.session_id, "iot:hue/light1", "read", None, NOW)
             assert body["status"] == "OK"
 
+    def test_ended_session_object_is_refused_in_process(self):
+        with build_simple_world() as world:
+            first = authenticate(world)
+            authenticate(world)
+            for call in (world.hub.authorize, world.hub.access):
+                with pytest.raises(HubError) as err:
+                    call(first, "iot:hue/light1", "read", None, NOW)
+                assert err.value.code == "UnknownSession"
+            assert world.gateway.call_log == []
+
     def test_revoked_guest_keeps_its_session_and_is_denied(self):
         with build_simple_world() as world:
             session = authenticate(world)

@@ -4,8 +4,9 @@ import warnings
 
 import pytest
 
+from ghub import wire
 from ghub.client import GuestAgent, HubClient, Owner
-from ghub.hub import serve_hub
+from ghub.hub import Hub, serve_hub
 from ghub.registry import Registry, RegistryClient, MemberId, registry_dispatcher, ResolutionStatus
 from ghub.bench import run_bench
 from ghub.scenario import BUNDLED, _subset_matches, load_scenario, run_scenario
@@ -222,3 +223,16 @@ def test_in_process_worlds_close_what_they_build():
         run_bench(iterations=5)
         gc.collect()
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_bench_run_that_fails_part_way_leaves_nothing_behind(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("refused")
+
+    before = dict(wire._local_endpoints)
+    with monkeypatch.context() as patch:
+        patch.setattr(Hub, "complete_auth", refuse)
+        with pytest.raises(RuntimeError, match="refused"):
+            run_bench(iterations=3)
+    assert wire._local_endpoints == before
+    assert len(run_bench(iterations=3)["rows"]) == 7

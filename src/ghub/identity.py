@@ -19,6 +19,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from cryptography.exceptions import InvalidSignature
@@ -69,16 +70,20 @@ def unb64(text: str) -> bytes:
 @dataclass(frozen=True)
 class Keypair:
     """An Ed25519 keypair. The private half never leaves this object's fields;
-    repr and serialization expose only the public key."""
+    repr and serialization expose only the public key. The signing key and the
+    DID are derived from the fields once, on first use, and kept."""
 
     public_key: bytes
     private_key: bytes = field(repr=False)
 
     def sign(self, message: bytes) -> bytes:
-        signer = ed25519.Ed25519PrivateKey.from_private_bytes(self.private_key)
-        return signer.sign(message)
+        return self._signer.sign(message)
 
-    @property
+    @cached_property
+    def _signer(self) -> ed25519.Ed25519PrivateKey:
+        return ed25519.Ed25519PrivateKey.from_private_bytes(self.private_key)
+
+    @cached_property
     def did(self) -> "Did":
         return derive_did(self.public_key)
 
@@ -280,15 +285,29 @@ def build_and_sign_guest_document(
 
 
 def verify_document(sdoc: SignedDidDocument, owner_key: bytes, now: int) -> DocumentStatus:
-    """Classify a signed document. Precedence: Malformed > BadSignature > Expired > Active."""
+    """Classify a signed document. Precedence: Malformed > BadSignature > Expired > Active.
+
+    The checks that do not depend on `now` are remembered for the last 256
+    (document, owner key) pairs; expiry is checked against `now` on every call."""
+    doc = sdoc.document
+    # the memo is keyed by the document itself. Equal documents with the field
+    # types from_json builds encode to equal bytes; a not_after of 1, 1.0 or
+    # True compares equal but encodes apart, so other types are checked afresh
+    exact = type(doc.not_after) is int and type(doc.policy_endpoint) in (str, type(None))
+    status = (_signed_status if exact else _signed_status.__wrapped__)(sdoc, owner_key)
+    if status is DocumentStatus.ACTIVE and now >= doc.not_after:
+        return DocumentStatus.EXPIRED
+    return status
+
+
+@lru_cache(maxsize=256)
+def _signed_status(sdoc: SignedDidDocument, owner_key: bytes) -> DocumentStatus:
+    """Malformed, BadSignature or Active: the classification of a document at
+    any instant before its not_after."""
     if sdoc.document.structural_errors() or sdoc.signer != sdoc.document.controller:
         return DocumentStatus.MALFORMED
-    if len(owner_key) != 32 or not verify_signature(
-        owner_key, sdoc.signature, canonicalize(sdoc.document)
-    ):
+    if len(owner_key) != 32 or not verify_signature(owner_key, sdoc.signature, canonicalize(sdoc.document)):
         return DocumentStatus.BAD_SIGNATURE
-    if now >= sdoc.document.not_after:
-        return DocumentStatus.EXPIRED
     return DocumentStatus.ACTIVE
 
 

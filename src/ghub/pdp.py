@@ -365,10 +365,14 @@ def make_verdict(req: PolicyRequest, granted: bool, valid_until: int | None, rep
 
 
 def verify_verdict(verdict: PolicyVerdict, req: PolicyRequest, replica_key: bytes) -> bool:
+    return _verdict_verifies(verdict, req.digest(), replica_key)
+
+
+def _verdict_verifies(verdict: PolicyVerdict, request_digest: bytes, replica_key: bytes) -> bool:
     return verify_signature(
         replica_key,
         verdict.signature,
-        _verdict_signing_bytes(req.digest(), verdict.granted, verdict.valid_until),
+        _verdict_signing_bytes(request_digest, verdict.granted, verdict.valid_until),
     )
 
 
@@ -425,6 +429,8 @@ def aggregate(
     """
     if len(entries) != n_replicas:
         raise ValueError(f"expected {n_replicas} entries, got {len(entries)}")
+    # every vote signs the same request, so it is hashed once
+    request_digest = req.digest() if req is not None and replica_keys is not None else None
     grants: list[int] = []
     notes: list[str] = []
     for entry in entries:
@@ -437,7 +443,7 @@ def aggregate(
             if key is None:
                 notes.append(f"{verdict.replica_id}:unknown-replica")
                 continue
-            if req is None or not verify_verdict(verdict, req, key):
+            if request_digest is None or not _verdict_verifies(verdict, request_digest, key):
                 notes.append(f"{verdict.replica_id}:bad-signature")
                 continue
         if verdict.granted:

@@ -321,15 +321,22 @@ class Registry:
             }
         )
 
-    def submit(self, tx: RegistryTx) -> int:
-        """Validate and commit one DID transaction; returns its block height."""
-        return self._append(tx.to_json())
+    def submit(self, tx: RegistryTx | dict) -> int:
+        """Validate and commit one DID transaction, given as a RegistryTx or in its
+        JSON form off the wire; returns its block height. Either way the entry is
+        parsed once, and the chain stores the form `RegistryTx.to_json` gives."""
+        if isinstance(tx, RegistryTx):
+            return self._append(tx.to_json())
+        with _malformed():
+            parsed = RegistryTx.from_json(tx)
+        return self._append(parsed.to_json(), parsed)
 
-    def _append(self, entry: dict) -> int:
+    def _append(self, entry: dict, parsed: RegistryTx | None = None) -> int:
         """Check one entry, persist it as the next block, and only then apply its
-        state change, so a failed write leaves state and chain as they were."""
+        state change, so a failed write leaves state and chain as they were.
+        `parsed` is the DID entry already parsed from `entry`, if it was."""
         with self._lock:
-            apply = self._check(entry, sole=True)
+            apply = self._check(entry, sole=True, parsed=parsed)
             height, prev_hash = self._height + 1, self._head
             block_hash = _block_hash(height, prev_hash, [entry])
             line = canonical_bytes({"height": height, "prev_hash": prev_hash, "txs": [entry], "block_hash": block_hash})
@@ -393,11 +400,12 @@ class Registry:
 
     # -- validation ----------------------------------------------------------
 
-    def _check(self, entry: dict, sole: bool) -> Callable[[], None]:
+    def _check(self, entry: dict, sole: bool, parsed: RegistryTx | None = None) -> Callable[[], None]:
         """Every chain rule for one entry against the current state, parsing the
-        entry once; returns the entry's state change, which the caller applies
-        once the entry is committed. `sole` says the entry is alone in its block;
-        height 0 holds exactly the genesis entry."""
+        entry once, or not at all when `parsed` is given; returns the entry's
+        state change, which the caller applies once the entry is committed.
+        `sole` says the entry is alone in its block; height 0 holds exactly the
+        genesis entry."""
         if not isinstance(entry, dict):
             raise RegistryError("MalformedTx", "an entry must be a JSON object")
         kind = entry.get("kind")
@@ -424,8 +432,10 @@ class Registry:
             return partial(self._members.__setitem__, member.public_key, member.label)
         if kind not in DID_TX_KINDS:
             raise RegistryError("MalformedTx", f"unknown tx kind {kind!r}")
-        with _malformed():
-            tx = RegistryTx.from_json(entry)
+        tx = parsed
+        if tx is None:
+            with _malformed():
+                tx = RegistryTx.from_json(entry)
         key = tx.submitter.public_key
         if key not in self._members:
             raise RegistryError("NotAMember", f"{tx.submitter.label!r} is not an admitted member")
@@ -537,11 +547,7 @@ def registry_dispatcher(registry: Registry) -> Dispatcher:
         }
 
     def _submit(body):
-        try:
-            tx = RegistryTx.from_json(body["tx"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise RegistryError("MalformedTx", str(exc)) from exc
-        return {"height": registry.submit(tx)}
+        return {"height": registry.submit(body.get("tx"))}
 
     def _verify(_body):
         return {"ok": registry.verify_chain()}

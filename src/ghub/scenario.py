@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import uuid
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
@@ -86,10 +87,16 @@ class ScenarioWorld:
     """All actors of one scenario, wired together in process."""
 
     def __init__(self, spec: dict):
+        # what is built is closed in reverse order by `close`, or at once if building raises
+        with ExitStack() as closers:
+            self._closers = closers
+            self._build(spec)
+            self._closers = closers.pop_all()
+
+    def _build(self, spec: dict) -> None:
         self.spec = spec
         self.clock = int(spec.get("clock", 1_000_000))
         self._run_tag = uuid.uuid4().hex[:8]
-        self._local_names: list[str] = []
 
         self.owners: dict[str, Owner] = {}
         for entry in spec.get("owners", []):
@@ -99,6 +106,7 @@ class ScenarioWorld:
         admin = generate_keypair(_seed("admin", spec.get("registry", {}).get("admin_label", "admin")))
         members = [MemberId(o.keypair.public_key, o.label) for o in self.owners.values()]
         self.registry = Registry.create(admin.public_key, members)
+        self._closers.callback(self.registry.close)
 
         self.guests: dict[str, GuestAgent] = {}
         for entry in spec.get("guests", []):
@@ -151,22 +159,20 @@ class ScenarioWorld:
                 default_ttl=int(entry.get("default_ttl", 60)),
                 challenge_ttl=int(entry.get("challenge_ttl", 30)),
             )
-            self.hubs[hub_id] = Hub(config)
+            self.hubs[hub_id] = hub = Hub(config)
+            self._closers.callback(hub.close)
 
         self.sessions: dict[tuple[str, str], object] = {}  # (guest, hub) -> GuestSession
         self.grants: dict[tuple[str, str], str] = {}  # (owner, guest) -> did string
 
     def _register(self, name: str, dispatcher) -> str:
-        endpoint = register_local(f"{self._run_tag}-{name}", dispatcher)
-        self._local_names.append(f"{self._run_tag}-{name}")
+        name = f"{self._run_tag}-{name}"
+        endpoint = register_local(name, dispatcher)
+        self._closers.callback(unregister_local, name)
         return endpoint
 
     def close(self) -> None:
-        for name in self._local_names:
-            unregister_local(name)
-        for hub in self.hubs.values():
-            hub.close()
-        self.registry.close()
+        self._closers.close()
 
     def __enter__(self) -> "ScenarioWorld":
         return self

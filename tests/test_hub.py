@@ -1,20 +1,23 @@
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
+from ghub import identity, pdp
 from ghub.gateway import serve_gateway
 from ghub.hub import DecisionCache, GatewayLink, Hub, HubConfig, HubError
 from ghub.identity import make_challenge, respond_to_challenge
 from ghub.pdp import AccessDecision, parse_policy
 from ghub.registry import registry_dispatcher, signed_tx
-from ghub.wire import WireServer
+from ghub.wire import WireServer, unregister_local
 from helpers import (
     NOW,
     allow_all_rule,
     build_simple_world,
     make_replicas,
     seeded_keypair,
+    unique_local,
 )
 
 
@@ -295,6 +298,41 @@ class TestAuthorizeDelegated:
                 t.join()
             assert all(r.granted for r in results)
             assert calls["n"] == 1  # one fan-out served all four
+
+    def test_a_resident_guests_miss_verifies_only_the_votes(self, monkeypatch):
+        # the registry answers over local:, so every resolve parses a new copy of the document
+        world, replicas = self.build_delegated(allow_all_rule("p", ttl=300))
+        off_key = replicas[-1].replica_id
+        name, endpoint = unique_local(registry_dispatcher(world.registry), "registry")
+        config = world.hub.config
+        hub = Hub(replace(config, registry_endpoint=endpoint,
+                          pdp_replica_keys={**config.pdp_replica_keys, off_key: seeded_keypair(40).public_key}))
+        with world:
+            try:
+                challenge = hub.begin_auth(world.guest_did, NOW)
+                session = hub.complete_auth(world.guest_did, respond_to_challenge(challenge, world.guest), NOW)
+                assert hub.authorize(session, "iot:hue/light1", "read", None, NOW).granted
+                verifies = {"owner": 0, "verdict": 0}
+
+                def counting(module, kind):
+                    verify = module.verify_signature
+
+                    def counted(*args):
+                        verifies[kind] += 1
+                        return verify(*args)
+
+                    monkeypatch.setattr(module, "verify_signature", counted)
+
+                counting(identity, "owner")
+                counting(pdp, "verdict")
+                decision = hub.authorize(session, "iot:hue/light1", "write", None, NOW)
+                assert decision.granted
+                assert f"{off_key}:bad-signature" in decision.detail
+                assert decision.detail.startswith("majority: 2/3 grant")
+                assert verifies == {"owner": 0, "verdict": 3}
+            finally:
+                hub.close()
+                unregister_local(name)
 
 
 class TestAccess:

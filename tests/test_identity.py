@@ -1,6 +1,8 @@
+import dataclasses
 import secrets
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ed25519
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +12,7 @@ from ghub.identity import (
     Did,
     DidDocument,
     DocumentStatus,
+    Keypair,
     NonceWindow,
     SignedDidDocument,
     build_and_sign_guest_document,
@@ -26,6 +29,7 @@ from ghub.identity import (
     verify_challenge,
     verify_document,
     verify_signature,
+    _signed_status,
 )
 from helpers import NOW, seeded_keypair
 
@@ -69,6 +73,28 @@ class TestKeypairs:
         text = repr(kp)
         assert kp.private_key.hex() not in text
         assert "private_key" not in text
+
+    def test_a_keypair_builds_its_signing_key_once(self, monkeypatch):
+        seeded = seeded_keypair(5)
+        kp = Keypair(seeded.public_key, seeded.private_key)
+        built = []
+        from_private_bytes = ed25519.Ed25519PrivateKey.from_private_bytes
+
+        def counted(data):
+            built.append(data)
+            return from_private_bytes(data)
+
+        monkeypatch.setattr(ed25519.Ed25519PrivateKey, "from_private_bytes", staticmethod(counted))
+        messages = [f"message {i}".encode() for i in range(100)]
+        signatures = [kp.sign(m) for m in messages]
+        assert len(built) == 1
+        assert all(verify_signature(kp.public_key, sig, m) for sig, m in zip(signatures, messages))
+        assert kp.did is kp.did and kp.did == derive_did(kp.public_key)
+        # what the keypair keeps shows in neither its repr nor its equality
+        text = repr(kp)
+        assert kp.private_key.hex() not in text and "private" not in text
+        assert kp == Keypair(kp.public_key, kp.private_key) == seeded
+        assert hash(kp) == hash(Keypair(kp.public_key, kp.private_key))
 
 
 class TestDids:
@@ -239,6 +265,79 @@ class TestBuildAndVerify:
             flipped = bytearray(data)
             flipped[pos] ^= 0x01
             assert not verify_signature(owner.public_key, sdoc.signature, bytes(flipped))
+
+
+ENVELOPE = ("signature", "signer")
+
+
+def changed(sdoc: SignedDidDocument, field: str, value) -> SignedDidDocument:
+    """`sdoc` with one field of the signed document, or of its envelope, replaced."""
+    if field in ENVELOPE:
+        return dataclasses.replace(sdoc, **{field: value})
+    return dataclasses.replace(sdoc, document=dataclasses.replace(sdoc.document, **{field: value}))
+
+
+CHANGES = {
+    "resources": st.lists(st.from_regex(r"iot:[a-z]{1,8}/[a-z0-9]{1,8}", fullmatch=True), max_size=3).map(frozenset),
+    "not_after": st.integers(min_value=NOW - 10, max_value=NOW + 10**6),
+    "policy_endpoint": st.one_of(st.none(), st.from_regex(r"pdp://r[0-9]/p[a-z]{0,4}", fullmatch=True)),
+    "signature": st.binary(min_size=64, max_size=64),
+    "signer": st.sampled_from([seeded_keypair(7).did, seeded_keypair(8).did, derive_did(bytes(32))]),
+}
+
+
+class TestRememberedChecks:
+    """verify_document remembers its signature checks, for exactly the document and owner key it checked."""
+
+    @given(data=st.data(), field=st.sampled_from(sorted(CHANGES)))
+    @settings(max_examples=100, deadline=None)
+    def test_a_changed_document_is_classified_as_if_never_seen(self, data, field):
+        owner = seeded_keypair(7)
+        sdoc = sample_document(owner=owner, policy_endpoint=data.draw(CHANGES["policy_endpoint"]))
+        assert verify_document(sdoc, owner.public_key, NOW) is DocumentStatus.ACTIVE
+        old = getattr(sdoc if field in ENVELOPE else sdoc.document, field)
+        other = changed(sdoc, field, data.draw(CHANGES[field].filter(lambda v: v != old)))
+        owner_key = data.draw(st.sampled_from([owner.public_key, seeded_keypair(8).public_key]))
+        now = data.draw(st.integers(min_value=NOW - 10, max_value=NOW + 10**6))
+        remembered = verify_document(other, owner_key, now)
+        _signed_status.cache_clear()
+        assert remembered is verify_document(other, owner_key, now)
+        assert remembered is not DocumentStatus.ACTIVE  # nothing changed was signed
+
+    def test_another_owner_key_is_checked_afresh(self):
+        owner = seeded_keypair(7)
+        sdoc = sample_document(owner=owner)
+        assert verify_document(sdoc, owner.public_key, NOW) is DocumentStatus.ACTIVE
+        assert verify_document(sdoc, seeded_keypair(8).public_key, NOW) is DocumentStatus.BAD_SIGNATURE
+        assert verify_document(sdoc, owner.public_key[:31], NOW) is DocumentStatus.BAD_SIGNATURE
+        assert verify_document(sdoc, owner.public_key, NOW) is DocumentStatus.ACTIVE
+
+    @given(offset=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_a_remembered_active_document_expires_at_its_not_after(self, offset):
+        owner = seeded_keypair(7)
+        sdoc = sample_document(owner=owner, not_after=NOW + 100)
+        assert verify_document(sdoc, owner.public_key, NOW) is DocumentStatus.ACTIVE
+        assert verify_document(sdoc, owner.public_key, NOW + 100 + offset) is DocumentStatus.EXPIRED
+        assert verify_document(sdoc, owner.public_key, NOW + 99) is DocumentStatus.ACTIVE
+
+    def test_an_equal_value_of_another_type_is_checked_afresh(self):
+        # 1.0 compares equal to 1 but encodes apart, so the signature is not its
+        owner = seeded_keypair(7)
+        sdoc = sample_document(owner=owner, not_after=NOW + 1)
+        assert verify_document(sdoc, owner.public_key, NOW) is DocumentStatus.ACTIVE
+        as_float = changed(sdoc, "not_after", float(NOW + 1))
+        assert as_float == sdoc
+        assert verify_document(as_float, owner.public_key, NOW) is DocumentStatus.BAD_SIGNATURE
+
+    def test_the_memo_never_outgrows_its_cap(self):
+        owner = seeded_keypair(7)
+        cap = _signed_status.cache_info().maxsize
+        for i in range(cap + 16):
+            sdoc = sample_document(owner=owner, not_after=NOW + 1 + i)
+            assert verify_document(sdoc, owner.public_key, NOW) is DocumentStatus.ACTIVE
+            assert _signed_status.cache_info().currsize <= cap
+        assert _signed_status.cache_info().currsize == cap
 
 
 class TestChallenges:

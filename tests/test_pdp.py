@@ -411,6 +411,29 @@ class TestDecide:
             for name in names:
                 unregister_local(name)
 
+    def test_the_request_is_hashed_once_on_the_deciding_side(self, monkeypatch):
+        rule = allow_all_rule("p", ttl=300)
+        replicas, names, endpoints, keys = make_replicas(3, rule)
+        hashed = []
+        digest = PolicyRequest.digest
+
+        def counted(self):
+            hashed.append(self)
+            return digest(self)
+
+        monkeypatch.setattr(PolicyRequest, "digest", counted)
+        asked = req()
+        try:
+            uri = f"pdp://{','.join(endpoints)}/p?consensus=majority"
+            decision = decide(uri, asked, keys, timeout=2)
+            assert decision.granted and decision.detail.startswith("majority: 3/3 grant")
+            # each replica hashes the request it parsed; the decide hashes its own once
+            assert sum(1 for r in hashed if r is asked) == 1
+            assert len(hashed) == 4
+        finally:
+            for name in names:
+                unregister_local(name)
+
 
 class TestLongLivedFanout:
     def test_hung_policy_does_not_delay_a_healthy_one(self):

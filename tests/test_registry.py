@@ -26,14 +26,17 @@ from ghub.registry import (
     LedgerBlock,
     MemberId,
     Registry,
+    RegistryClient,
     RegistryError,
     RegistryTx,
     ResolutionStatus,
     member_admission_bytes,
+    registry_dispatcher,
     signed_tx,
     verify_blocks,
 )
-from helpers import NOW, fold_resolution, seeded_keypair
+from ghub.wire import ServiceError, request, unregister_local
+from helpers import NOW, fold_resolution, seeded_keypair, unique_local
 
 
 @pytest.fixture
@@ -811,6 +814,32 @@ class TestOneCheckPerEntry:
         assert parses == [KIND_CREATE, KIND_UPDATE, KIND_REVOKE]
         assert loaded.resolve(did, NOW).status is ResolutionStatus.REVOKED
         loaded.close()
+
+    def test_a_wire_submit_parses_its_tx_once(self, registry, alice, parses):
+        name, endpoint = unique_local(registry_dispatcher(registry), "registry")
+        try:
+            did, tx = grant_tx(alice, seeded_keypair(3), seq=1)
+            assert RegistryClient(endpoint).submit(tx) == 1
+            assert parses == [KIND_CREATE]
+            assert registry.resolve(did, NOW).document == tx.payload
+        finally:
+            unregister_local(name)
+            registry.close()
+
+    def test_a_wire_tx_is_stored_as_parsed(self, registry, alice):
+        name, endpoint = unique_local(registry_dispatcher(registry), "registry")
+        try:
+            _, tx = grant_tx(alice, seeded_keypair(3), seq=1)
+            wire_tx = {**tx.to_json(), "note": "not a tx field"}
+            assert request(endpoint, "registry.submit", {"tx": wire_tx})["height"] == 1
+            assert registry.blocks[1].txs == (tx.to_json(),)
+            with pytest.raises(ServiceError) as err:
+                request(endpoint, "registry.submit", {"tx": {"kind": KIND_CREATE}})
+            assert err.value.code == "MalformedTx"
+            assert registry.height == 1 and registry.verify_chain()
+        finally:
+            unregister_local(name)
+            registry.close()
 
     def test_no_append_onto_an_unterminated_last_block(self, tmp_path, admin, alice):
         path = tmp_path / "chain.ndjson"

@@ -225,6 +225,26 @@ def test_in_process_worlds_close_what_they_build():
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+def test_a_world_that_fails_to_build_closes_what_it_built():
+    spec = {
+        "owners": [{"name": "olga"}],
+        "gateways": [{"id": "cam", "accounts": {"olga": "pw"}, "resources": {"iot:cam/1": "idle"}}],
+        "pdp_replicas": [{"id": "r1"}],
+        "hubs": [
+            {"id": "hub1", "owner": "olga", "links": [{"gateway": "cam", "username": "olga", "password": "pw"}]},
+            {"id": "hub2", "owner": "olga", "links": [{"gateway": "nowhere", "username": "olga", "password": "pw"}]},
+        ],
+    }
+    before = dict(wire._local_endpoints)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(KeyError, match="nowhere"):
+            run_scenario(spec)
+        gc.collect()
+    assert wire._local_endpoints == before
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_bench_run_that_fails_part_way_leaves_nothing_behind(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("refused")

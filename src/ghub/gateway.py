@@ -13,9 +13,9 @@ import base64
 import hashlib
 import json
 import secrets
-import sys
 import threading
 import time
+from array import array
 from dataclasses import dataclass
 
 from .wire import Dispatcher, WireServer
@@ -23,7 +23,7 @@ from .wire import Dispatcher, WireServer
 ACTIONS = ("read", "write", "actuate")
 TOKEN_BYTES = 32
 DEFAULT_TOKEN_LIFETIME = 3600
-# the fields of one transcript entry, in the order each tuple holds them
+# the fields of one transcript entry, in the order assert_never_saw renders them
 _LOG_FIELDS = ("timestamp", "token", "resource", "action", "payload", "outcome")
 
 
@@ -42,11 +42,6 @@ class GatewayResponse:
 
     def to_json(self) -> dict:
         return {"status": self.status, "body": self.body}
-
-
-def _shared(value):
-    """One stored copy of a string that recurs across invokes (a token, a resource, an action)."""
-    return sys.intern(value) if type(value) is str else value
 
 
 def _hash_password(password: str, salt: bytes) -> str:
@@ -72,9 +67,15 @@ class Gateway:
         self._tokens: dict[str, tuple[str, int, int]] = {}  # token -> (user, issued, expires)
         self._resources = dict(resources)
         self._token_lifetime = token_lifetime
-        # every invoke as received, with its outcome, as one _LOG_FIELDS tuple;
-        # call_log and assert_never_saw read it
-        self._log: list[tuple] = []
+        # every invoke as received, with its outcome, in three columns: its
+        # timestamp, its payload, and the index in _kinds of its (token, resource,
+        # action, outcome). Those rows recur, so each distinct one is stored
+        # once; _kind_index finds it. _entries reads the columns back
+        self._times: list = []
+        self._kind_of = array("L")
+        self._payloads: list = []
+        self._kinds: list[tuple] = []
+        self._kind_index: dict[tuple, int] = {}
 
     # -- account linking (OAuth-style, reduced to bearer tokens) -------------
 
@@ -97,9 +98,25 @@ class Gateway:
     def invoke(self, token: str | None, resource: str, action: str, payload, now: int) -> GatewayResponse:
         with self._lock:
             outcome, body = self._invoke_locked(token, resource, action, payload, now)
-            self._log.append((now, _shared(token), _shared(resource), _shared(action), payload, outcome))
+            self._record(now, token, resource, action, outcome, payload)
         status = "OK" if outcome == "ok" else "Rejected"
         return GatewayResponse(status=status, body=body)
+
+    def _record(self, now, token, resource, action, outcome: str, payload) -> None:
+        kinds, times = self._kinds, self._times
+        kind = (token, resource, action, outcome)
+        index = len(kinds)
+        # a row of strings (and a None token) is stored once; any other row is
+        # stored alone, since values such as 1, 1.0 and True compare equal but render apart
+        if (token is None or type(token) is str) and type(resource) is str and type(action) is str:
+            index = self._kind_index.setdefault(kind, index)
+        if index == len(kinds):
+            kinds.append(kind)
+        if type(now) is int and times and type(times[-1]) is int and times[-1] == now:
+            now = times[-1]  # invokes in the same second share one int
+        times.append(now)
+        self._kind_of.append(index)
+        self._payloads.append(payload)
 
     def _invoke_locked(self, token, resource, action, payload, now):
         entry = self._tokens.get(token) if token else None
@@ -120,6 +137,10 @@ class Gateway:
 
     @property
     def call_log(self) -> list[dict]:
+        return self.calls_since(0)
+
+    def calls_since(self, start: int) -> list[dict]:
+        """`call_log[start:]`, without building the entries before `start`."""
         with self._lock:
             return [
                 {
@@ -129,8 +150,16 @@ class Gateway:
                     "action": action,
                     "outcome": outcome,
                 }
-                for timestamp, token, resource, action, _, outcome in self._log
+                for timestamp, token, resource, action, _, outcome in self._entries(start)
             ]
+
+    def _entries(self, start: int):
+        """The transcript as _LOG_FIELDS tuples, from entry `start` on, which
+        counts as a list index does; the caller holds the lock."""
+        first = range(len(self._times))[start:].start
+        for timestamp, kind, payload in zip(self._times[first:], self._kind_of[first:], self._payloads[first:]):
+            token, resource, action, outcome = self._kinds[kind]
+            yield timestamp, token, resource, action, payload, outcome
 
     def resource_value(self, resource: str):
         with self._lock:
@@ -141,7 +170,7 @@ class Gateway:
         if isinstance(pattern, bytes):
             pattern = pattern.decode("utf-8", errors="replace")
         with self._lock:
-            transcript = json.dumps([dict(zip(_LOG_FIELDS, entry)) for entry in self._log], default=str)
+            transcript = json.dumps([dict(zip(_LOG_FIELDS, entry)) for entry in self._entries(0)], default=str)
         return pattern not in transcript
 
     # -- service face ----------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import secrets
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 
 from . import pdp
@@ -37,11 +37,15 @@ from .registry import RegistryClient, ResolutionStatus
 from .wire import ConnectionPool, Dispatcher, ServiceError, WireError, WireServer, request
 
 
+# handshakes one guest may have outstanding at a hub; a further begin_auth drops the oldest
+CHALLENGES_PER_GUEST = 4
+
+
 class HubError(ServiceError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GatewayLink:
     endpoint: str
     token: str
@@ -64,7 +68,7 @@ class HubConfig:
             raise ValueError("cache_capacity must be at least 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class GuestSession:
     session_id: str
     guest_did: Did
@@ -122,9 +126,10 @@ class Hub:
         resolver = config.registry_endpoint
         self._registry = RegistryClient(resolver, pool=self._pool) if isinstance(resolver, str) else resolver
         self._cache = DecisionCache(config.cache_capacity)
-        self._challenges: dict[str, tuple[Challenge, SignedDidDocument]] = {}
+        # guest DID -> its outstanding (challenge, document) pairs, oldest first
+        self._challenges: dict[Did, deque[tuple[Challenge, SignedDidDocument]]] = {}
         self._sessions: dict[str, GuestSession] = {}
-        self._session_of: dict[str, str] = {}  # guest DID -> its one live session id
+        self._session_of: dict[Did, str] = {}  # guest DID -> its one live session id
         self._nonces = NonceWindow()
         self._lock = threading.RLock()
         self._flights: dict[tuple, threading.Lock] = {}
@@ -139,29 +144,49 @@ class Hub:
         while not self._nonces.add(challenge.nonce):
             challenge = make_challenge(self.config.hub_id, now)
         with self._lock:
-            self._challenges[did.render()] = (challenge, sdoc)
+            pending = self._challenges.setdefault(did, deque(maxlen=CHALLENGES_PER_GUEST))
+            pending.append((challenge, sdoc))
         return challenge
 
     def complete_auth(self, guest_did, response: bytes, now: int) -> GuestSession:
+        """Answer the newest outstanding challenge of the guest's that the response
+        signs, and use it up. A response that signs none uses up nothing."""
         did = as_did(guest_did)
         with self._lock:
-            entry = self._challenges.pop(did.render(), None)
-        if entry is None:
+            pending = list(self._challenges.get(did, ()))
+        if not pending:
             raise HubError("NoChallenge", f"no outstanding challenge for {did}")
-        challenge, sdoc = entry
-        if now - challenge.issued_at > self.config.challenge_ttl:
+        fresh = [entry for entry in pending if now - entry[0].issued_at <= self.config.challenge_ttl]
+        if not fresh:
+            self._take_challenges(did, pending)
             raise HubError("ChallengeExpired", "challenge is too old")
-        if not verify_challenge(challenge, response, sdoc.document.guest_key):
+        for entry in reversed(fresh):
+            if verify_challenge(entry[0], response, entry[1].document.guest_key):
+                break
+        else:
             raise HubError("BadResponse", "challenge response does not verify")
-        session = GuestSession(session_id=secrets.token_hex(16), guest_did=did, document=sdoc)
+        if not self._take_challenges(did, [entry]):
+            raise HubError("NoChallenge", f"no outstanding challenge for {did}")  # a concurrent complete used it
+        session = GuestSession(session_id=secrets.token_hex(16), guest_did=did, document=entry[1])
         with self._lock:
             # one live session per guest: a new handshake ends the previous session
-            previous = self._session_of.get(did.render())
+            previous = self._session_of.get(did)
             if previous is not None:
                 self._sessions.pop(previous, None)
             self._sessions[session.session_id] = session
-            self._session_of[did.render()] = session.session_id
+            self._session_of[did] = session.session_id
         return session
+
+    def _take_challenges(self, did: Did, entries: list) -> bool:
+        """Remove these outstanding challenges of one guest; False if one was gone."""
+        with self._lock:
+            pending = self._challenges.get(did, ())
+            present = [entry for entry in entries if entry in pending]
+            for entry in present:
+                pending.remove(entry)
+            if not pending:
+                self._challenges.pop(did, None)
+            return len(present) == len(entries)
 
     def _resolve_active(self, did: Did, now: int) -> SignedDidDocument:
         result = self._registry.resolve(did, now)
@@ -297,8 +322,8 @@ class Hub:
     def _drop_session(self, session_id: str) -> None:
         with self._lock:
             sess = self._sessions.pop(session_id, None)
-            if sess is not None and self._session_of.get(sess.guest_did.render()) == session_id:
-                del self._session_of[sess.guest_did.render()]
+            if sess is not None and self._session_of.get(sess.guest_did) == session_id:
+                del self._session_of[sess.guest_did]
 
     def close(self) -> None:
         """Close the kept-alive connections."""

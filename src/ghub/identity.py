@@ -15,6 +15,7 @@ import hashlib
 import json
 import secrets
 import struct
+import sys
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -110,7 +111,7 @@ def verify_signature(public_key: bytes, signature: bytes, message: bytes) -> boo
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Did:
     """A "did:ghub" identifier: method constant, id = base58btc(SHA-256(public key))."""
 
@@ -123,13 +124,20 @@ class Did:
     def __str__(self) -> str:
         return self.render()
 
-    @classmethod
-    def parse(cls, text: str) -> "Did":
-        parts = text.split(":")
-        if len(parts) != 3 or parts[0] != "did" or parts[1] != DID_METHOD or not parts[2]:
-            raise ValueError(f"not a did:{DID_METHOD} identifier: {text!r}")
-        _b58decode(parts[2])  # reject non-base58 ids early
-        return cls(id=parts[2])
+    @staticmethod
+    def parse(text: str) -> "Did":
+        """The Did a text names. Equal texts give the same object, remembered for
+        the last 4096 texts; a malformed text raises on every call."""
+        return _parse_did(text) if type(text) is str else _parse_did.__wrapped__(text)
+
+
+@lru_cache(maxsize=4096)
+def _parse_did(text: str) -> Did:
+    parts = text.split(":")
+    if len(parts) != 3 or parts[0] != "did" or parts[1] != DID_METHOD or not parts[2]:
+        raise ValueError(f"not a did:{DID_METHOD} identifier: {text!r}")
+    _b58decode(parts[2])  # reject non-base58 ids early
+    return Did(id=parts[2])
 
 
 def derive_did(public_key: bytes) -> Did:
@@ -142,7 +150,23 @@ def as_did(value: "Did | str") -> Did:
     return value if isinstance(value, Did) else Did.parse(value)
 
 
-@dataclass(frozen=True)
+# values that recur across documents are stored once: from_json interns their
+# strings, every document without resources holds this one empty set, and equal
+# resource sets are one set while they recur
+_NO_RESOURCES: frozenset[str] = frozenset()
+
+
+def _shared(value):
+    return sys.intern(value) if type(value) is str else value
+
+
+@lru_cache(maxsize=1024)
+def _one_copy(value):
+    """The first of equal values passed in, while it is among the last 1024 distinct ones."""
+    return value
+
+
+@dataclass(frozen=True, slots=True)
 class DidDocument:
     """The owner-signed authorization record for one guest.
 
@@ -180,9 +204,9 @@ class DidDocument:
             doc = cls(
                 id=Did.parse(obj["id"]),
                 guest_key=unb64(obj["guest_key"]),
-                auth_method=str(obj["auth_method"]),
-                resources=frozenset(str(r) for r in obj["resources"]),
-                policy_endpoint=obj.get("policy_endpoint"),
+                auth_method=sys.intern(str(obj["auth_method"])),
+                resources=_one_copy(frozenset(sys.intern(str(r)) for r in obj["resources"]) or _NO_RESOURCES),
+                policy_endpoint=_shared(obj.get("policy_endpoint")),
                 not_after=int(obj["not_after"]),
                 controller=Did.parse(obj["controller"]),
             )
@@ -218,7 +242,7 @@ def parse_document(data: bytes) -> DidDocument:
     return DidDocument.from_json(parse_json(data))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedDidDocument:
     document: DidDocument
     signer: Did
@@ -311,7 +335,7 @@ def _signed_status(sdoc: SignedDidDocument, owner_key: bytes) -> DocumentStatus:
     return DocumentStatus.ACTIVE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Challenge:
     nonce: bytes
     issued_at: int

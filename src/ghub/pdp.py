@@ -65,7 +65,7 @@ class PolicyRule:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicyRequest:
     guest_did: str
     resource: str
@@ -101,7 +101,7 @@ class PolicyRequest:
         return hashlib.sha256(canonical_bytes(self.to_json())).digest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicyVerdict:
     granted: bool
     valid_until: int | None
@@ -128,7 +128,7 @@ class PolicyVerdict:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplicaFailure:
     """A missing or unusable reply; always a deny vote."""
 
@@ -164,7 +164,7 @@ SOURCE_SIMPLE = "simple-document"  # decided by the document's resource allow-li
 SOURCE_DELEGATED = "delegated-pdp"  # decided by consensus of PDP replicas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessDecision:
     granted: bool
     valid_until: int

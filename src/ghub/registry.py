@@ -67,7 +67,7 @@ class ResolutionStatus(Enum):
     NOT_FOUND = "NotFound"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemberId:
     public_key: bytes
     label: str
@@ -80,7 +80,7 @@ class MemberId:
         return cls(public_key=unb64(obj["public_key"]), label=str(obj["label"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegistryTx:
     kind: str
     did: Did
@@ -133,7 +133,7 @@ def member_admission_bytes(member: MemberId) -> bytes:
     return canonical_bytes(member.to_json())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerBlock:
     height: int
     prev_hash: str
@@ -201,7 +201,7 @@ def _block_hash(height: int, prev_hash: str, txs: list[dict]) -> str:
     return hashlib.sha256(body).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolutionResult:
     status: ResolutionStatus
     document: SignedDidDocument | None
@@ -233,8 +233,9 @@ class Registry:
         self._lock = threading.RLock()
         self._members: dict[bytes, str] = {}
         self._member_seq: dict[bytes, int] = {}
-        # did -> (ResolutionStatus.ACTIVE or REVOKED, latest signed document)
-        self._state: dict[str, tuple[ResolutionStatus, SignedDidDocument]] = {}
+        # did -> (ResolutionStatus.ACTIVE or REVOKED, latest signed document); keyed
+        # by the Did itself, which the document already holds
+        self._state: dict[Did, tuple[ResolutionStatus, SignedDidDocument]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -447,16 +448,15 @@ class Registry:
         if (tx.payload is None) != (tx.kind == KIND_REVOKE):
             raise RegistryError("MalformedTx", "create and update carry a signed document payload, revoke none")
         submitter_did = derive_did(key)
-        did_key = tx.did.render()
-        current = self._state.get(did_key)
+        current = self._state.get(tx.did)
         if tx.kind == KIND_CREATE:
             if current is not None:
-                raise RegistryError("DuplicateDid", f"{did_key} already exists")
+                raise RegistryError("DuplicateDid", f"{tx.did} already exists")
         else:  # update and revoke act on a live DID of the submitter's
             if current is None:
-                raise RegistryError("UnknownDid", f"{did_key} was never created")
+                raise RegistryError("UnknownDid", f"{tx.did} was never created")
             if current[0] is ResolutionStatus.REVOKED:
-                raise RegistryError("RevokedDid", f"{did_key} is revoked")
+                raise RegistryError("RevokedDid", f"{tx.did} is revoked")
             if current[1].document.controller != submitter_did:
                 raise RegistryError("ControllerMismatch", f"{tx.kind} not submitted by the controller")
         sdoc = tx.payload
@@ -477,7 +477,7 @@ class Registry:
 
         def apply() -> None:
             self._member_seq[key] = tx.seq
-            self._state[did_key] = state
+            self._state[tx.did] = state
 
         return apply
 
@@ -498,10 +498,10 @@ class Registry:
             return public_key in self._members
 
     def resolve(self, did, now: int) -> ResolutionResult:
-        did_key = as_did(did).render()
+        did = as_did(did)
         with self._lock:
             head = self._height
-            current = self._state.get(did_key)
+            current = self._state.get(did)
         if current is None:
             return ResolutionResult(ResolutionStatus.NOT_FOUND, None, head)
         status, sdoc = current

@@ -52,7 +52,7 @@ class ServiceError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Envelope:
     id: str
     op: str

@@ -1,7 +1,12 @@
 import base64
+import gc
+import json
 import secrets
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghub.gateway import BadCredentials, Gateway
 from ghub.wire import ServiceError, request, unregister_local
@@ -82,6 +87,28 @@ class TestInvoke:
         assert gateway.call_log[0]["outcome"] != "tampered"
 
 
+class TestCallsSince:
+    @pytest.fixture
+    def logged(self, gateway):
+        token = gateway.link_account("alice", "hunter2", NOW)
+        for n in range(6):
+            gateway.invoke(token if n % 2 else None, "iot:hue/light1", "write", f"v{n}", NOW + n)
+        return gateway
+
+    @pytest.mark.parametrize("start", [0, 3, 6, 9, -2])
+    def test_equals_the_tail_of_call_log(self, logged, start):
+        assert logged.calls_since(start) == logged.call_log[start:]
+
+    def test_middle_starts_at_that_entry(self, logged):
+        tail = logged.calls_since(3)
+        assert [e["timestamp"] for e in tail] == [NOW + 3, NOW + 4, NOW + 5]
+        assert [e["token_presented"] for e in tail] == [True, False, True]
+
+    def test_returns_copies(self, logged):
+        logged.calls_since(5)[0]["outcome"] = "tampered"
+        assert logged.calls_since(5)[0]["outcome"] == "ok"
+
+
 class TestObservability:
     def test_seen_token_is_found(self, gateway):
         token = gateway.link_account("alice", "hunter2", NOW)
@@ -140,3 +167,73 @@ def test_module_has_no_identity_registry_or_pdp_imports():
         if isinstance(node, ast.Import):
             for alias in node.names:
                 assert alias.name.split(".")[-1] not in forbidden
+
+
+def test_transcript_bytes_per_invoke_are_capped(gateway):
+    token = gateway.link_account("alice", "hunter2", NOW)
+    invokes = 5000
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(invokes):
+            gateway.invoke(token, "iot:hue/light1", "read", None, NOW + n // 10)  # ten invokes a second
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(gateway.call_log) == invokes
+    # a timestamp, a payload and a row index each; a 6-tuple per invoke took about 128 B
+    assert grown / invokes < 48
+
+
+class ReferenceTranscript:
+    """The transcript as a plain list of (timestamp, token, resource, action,
+    payload, outcome) tuples, read back the way call_log and assert_never_saw
+    are specified."""
+
+    def __init__(self):
+        self.entries = []
+
+    def call_log(self):
+        return [
+            {"timestamp": t, "token_presented": token is not None, "resource": r, "action": a, "outcome": o}
+            for t, token, r, a, _, o in self.entries
+        ]
+
+    def never_saw(self, pattern):
+        fields = ("timestamp", "token", "resource", "action", "payload", "outcome")
+        return pattern not in json.dumps([dict(zip(fields, e)) for e in self.entries], default=str)
+
+
+_json_scalars = st.none() | st.booleans() | st.integers(-5, 5) | st.floats(allow_nan=False) | st.text(max_size=6)
+invokes = st.lists(
+    st.tuples(
+        st.sampled_from(["live", "other", None, "", 1, True, 1.0, [], "gw-token"]),
+        st.sampled_from(["iot:hue/light1", "iot:hue/light9", "", 1, True]),
+        st.sampled_from(["read", "write", "actuate", "reboot", 0, False]),
+        st.recursive(_json_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=4),
+        st.sampled_from([NOW, NOW + 1, NOW + 700, 1, True, 1.0, 0.0, -0.0]),
+    ),
+    max_size=25,
+)
+
+
+@given(calls=invokes, start=st.integers(-30, 30))
+@settings(max_examples=200, deadline=None)
+def test_columnar_transcript_reads_as_a_list_of_tuples(calls, start):
+    gateway = Gateway("hue", {"alice": "hunter2"}, {"iot:hue/light1": "off"}, token_lifetime=600)
+    gateway.seed_token("live", "alice", NOW)
+    reference = ReferenceTranscript()
+    for token, resource, action, payload, now in calls:
+        response = gateway.invoke(token, resource, action, payload, now)
+        outcome = "ok" if response.ok else response.body["reason"]
+        reference.entries.append((now, token, resource, action, payload, outcome))
+    log = gateway.call_log
+    assert log == reference.call_log()
+    # equal values of other types (1, 1.0, True; 0.0, -0.0) keep their own type and sign
+    assert [repr(e["timestamp"]) for e in log] == [repr(e["timestamp"]) for e in reference.call_log()]
+    assert gateway.calls_since(start) == reference.call_log()[start:]
+    patterns = ["live", "true", "1.0", "-0.0", '"token": 1,', '"token": []', '"payload": null, "outcome": "bad-token"', "reboot"]
+    for pattern in patterns:
+        assert gateway.assert_never_saw(pattern) == reference.never_saw(pattern)

@@ -5,12 +5,13 @@ from dataclasses import replace
 import pytest
 
 from ghub import identity, pdp
+from ghub.client import HubClient
 from ghub.gateway import serve_gateway
-from ghub.hub import DecisionCache, GatewayLink, Hub, HubConfig, HubError
+from ghub.hub import CHALLENGES_PER_GUEST, DecisionCache, GatewayLink, Hub, HubConfig, HubError, serve_hub
 from ghub.identity import make_challenge, respond_to_challenge
 from ghub.pdp import AccessDecision, parse_policy
 from ghub.registry import registry_dispatcher, signed_tx
-from ghub.wire import WireServer, unregister_local
+from ghub.wire import ServiceError, WireServer, unregister_local
 from helpers import (
     NOW,
     allow_all_rule,
@@ -23,6 +24,10 @@ from helpers import (
 
 def authenticate(world, now=NOW):
     challenge = world.hub.begin_auth(world.guest_did, now)
+    return world.hub.complete_auth(world.guest_did, respond_to_challenge(challenge, world.guest), now)
+
+
+def authenticate_with(world, challenge, now=NOW):
     return world.hub.complete_auth(world.guest_did, respond_to_challenge(challenge, world.guest), now)
 
 
@@ -113,6 +118,58 @@ class TestCompleteAuth:
             with pytest.raises(HubError) as err:
                 world.hub.complete_auth(world.guest_did, response, NOW)
             assert err.value.code == "BadResponse"
+
+    def test_interleaved_handshakes_over_tcp_both_complete(self):
+        with build_simple_world() as world:
+            server = serve_hub(world.hub)
+            try:
+                client = HubClient(server.endpoint)
+                first = client.begin_auth(world.guest_did, NOW)
+                second = client.begin_auth(world.guest_did, NOW)
+                session_a = client.complete_auth(world.guest_did, respond_to_challenge(first, world.guest), NOW)
+                session_b = client.complete_auth(world.guest_did, respond_to_challenge(second, world.guest), NOW)
+                assert session_a != session_b
+                # one live session per guest: the second handshake ended the first session
+                with pytest.raises(ServiceError) as err:
+                    client.access(session_a, "iot:hue/light1", "read", now=NOW)
+                assert err.value.code == "UnknownSession"
+                assert client.access(session_b, "iot:hue/light1", "read", now=NOW)["granted"] is True
+            finally:
+                server.stop()
+
+    def test_a_bad_response_uses_up_no_challenge(self):
+        with build_simple_world() as world:
+            challenge = world.hub.begin_auth(world.guest_did, NOW)
+            with pytest.raises(HubError) as err:
+                world.hub.complete_auth(world.guest_did, respond_to_challenge(challenge, seeded_keypair(40)), NOW)
+            assert err.value.code == "BadResponse"
+            assert authenticate_with(world, challenge).guest_did == world.guest_did
+
+    def test_outstanding_challenges_per_guest_are_capped(self):
+        with build_simple_world() as world:
+            challenges = [world.hub.begin_auth(world.guest_did, NOW) for _ in range(CHALLENGES_PER_GUEST + 2)]
+            assert len(world.hub._challenges[world.guest_did]) == CHALLENGES_PER_GUEST
+            for dropped in challenges[:2]:  # the oldest were dropped
+                with pytest.raises(HubError) as err:
+                    authenticate_with(world, dropped)
+                assert err.value.code == "BadResponse"
+            for kept in reversed(challenges[2:]):
+                authenticate_with(world, kept)
+            assert world.guest_did not in world.hub._challenges
+
+    def test_only_stale_challenges_is_challenge_expired(self):
+        with build_simple_world(challenge_ttl=30) as world:
+            stale = world.hub.begin_auth(world.guest_did, NOW)
+            fresh = world.hub.begin_auth(world.guest_did, NOW + 20)
+            with pytest.raises(HubError) as err:
+                authenticate_with(world, stale, NOW + 40)
+            assert err.value.code == "BadResponse"  # the fresh one is still outstanding
+            assert authenticate_with(world, fresh, NOW + 40).guest_did == world.guest_did
+            world.hub.begin_auth(world.guest_did, NOW)
+            with pytest.raises(HubError) as err:
+                authenticate_with(world, stale, NOW + 40)
+            assert err.value.code == "ChallengeExpired"
+            assert world.guest_did not in world.hub._challenges
 
 
 class CountingRegistry:

@@ -29,6 +29,7 @@ from ghub.identity import (
     verify_challenge,
     verify_document,
     verify_signature,
+    _parse_did,
     _signed_status,
 )
 from helpers import NOW, seeded_keypair
@@ -131,6 +132,52 @@ class TestDids:
     def test_parse_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             Did.parse(bad)
+
+    def test_parse_gives_one_object_per_text(self):
+        text = derive_did(secrets.token_bytes(32)).render()
+        assert Did.parse(text) is Did.parse("".join(text))
+
+    def test_malformed_text_raises_every_time_and_is_not_remembered(self):
+        remembered = _parse_did.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                Did.parse("did:ghub:0OIl")
+        assert _parse_did.cache_info().currsize == remembered
+
+    @pytest.mark.parametrize("value, error", [(b"did:ghub:abc", TypeError), (7, AttributeError), (None, AttributeError)])
+    def test_non_text_raises(self, value, error):
+        with pytest.raises(error):
+            Did.parse(value)
+
+    def test_memo_never_exceeds_its_cap(self):
+        cap = _parse_did.cache_info().maxsize
+        assert cap == 4096
+        for i in range(cap + 50):
+            Did.parse(derive_did(i.to_bytes(32, "big")).render())
+        assert _parse_did.cache_info().currsize == cap
+
+
+class TestSharedValues:
+    """Values that recur across parsed documents are stored once."""
+
+    def parsed(self, n, resources=("iot:hue/light1",), policy_endpoint=None):
+        sdoc = sample_document(guest=seeded_keypair(n), resources=resources, policy_endpoint=policy_endpoint)
+        return parse_document(canonicalize(sdoc.document))
+
+    def test_documents_without_resources_share_one_empty_set(self):
+        a, b = (self.parsed(n, resources=(), policy_endpoint="pdp://local:r1/p") for n in (30, 31))
+        assert a.resources == frozenset() and a.resources is b.resources
+
+    def test_equal_resource_sets_are_one_set(self):
+        a, b = (self.parsed(n, resources=("iot:hue/light1", "iot:hue/light2")) for n in (30, 31))
+        assert a.resources is b.resources
+
+    def test_strings_are_interned(self):
+        a, b = (self.parsed(n, resources=(f"iot:hue/light{n}",), policy_endpoint="pdp://local:r1/p") for n in (30, 31))
+        assert a.policy_endpoint is b.policy_endpoint
+        assert a.auth_method is b.auth_method
+        assert next(iter(a.resources)) is next(iter(self.parsed(32, resources=("iot:hue/light30",)).resources))
+        assert a.controller is b.controller
 
 
 def sample_document(guest=None, owner=None, resources=("iot:hue/light1", "iot:hue/light2"),

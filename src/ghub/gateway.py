@@ -16,6 +16,7 @@ import secrets
 import threading
 import time
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .wire import Dispatcher, WireServer
@@ -70,7 +71,7 @@ class Gateway:
         # every invoke as received, with its outcome, in three columns: its
         # timestamp, its payload, and the index in _kinds of its (token, resource,
         # action, outcome). Those rows recur, so each distinct one is stored
-        # once; _kind_index finds it. _entries reads the columns back
+        # once; _kind_index finds it. _call and _entries read the columns back
         self._times: list = []
         self._kind_of = array("L")
         self._payloads: list = []
@@ -136,28 +137,31 @@ class Gateway:
     # -- observability hooks for tests ----------------------------------------
 
     @property
-    def call_log(self) -> list[dict]:
-        return self.calls_since(0)
+    def call_log(self) -> CallLog:
+        """The invokes received so far, as a read-only sequence of five-key dicts."""
+        with self._lock:
+            return CallLog(self, len(self._times))
 
     def calls_since(self, start: int) -> list[dict]:
         """`call_log[start:]`, without building the entries before `start`."""
-        with self._lock:
-            return [
-                {
-                    "timestamp": timestamp,
-                    "token_presented": token is not None,
-                    "resource": resource,
-                    "action": action,
-                    "outcome": outcome,
-                }
-                for timestamp, token, resource, action, _, outcome in self._entries(start)
-            ]
+        return self.call_log[start:]
 
-    def _entries(self, start: int):
-        """The transcript as _LOG_FIELDS tuples, from entry `start` on, which
-        counts as a list index does; the caller holds the lock."""
-        first = range(len(self._times))[start:].start
-        for timestamp, kind, payload in zip(self._times[first:], self._kind_of[first:], self._payloads[first:]):
+    def _call(self, index: int) -> dict:
+        """A fresh copy of entry `index` of call_log."""
+        with self._lock:
+            timestamp = self._times[index]
+            token, resource, action, outcome = self._kinds[self._kind_of[index]]
+        return {
+            "timestamp": timestamp,
+            "token_presented": token is not None,
+            "resource": resource,
+            "action": action,
+            "outcome": outcome,
+        }
+
+    def _entries(self):
+        """The transcript as _LOG_FIELDS tuples; the caller holds the lock."""
+        for timestamp, kind, payload in zip(self._times, self._kind_of, self._payloads):
             token, resource, action, outcome = self._kinds[kind]
             yield timestamp, token, resource, action, payload, outcome
 
@@ -170,7 +174,7 @@ class Gateway:
         if isinstance(pattern, bytes):
             pattern = pattern.decode("utf-8", errors="replace")
         with self._lock:
-            transcript = json.dumps([dict(zip(_LOG_FIELDS, entry)) for entry in self._entries(0)], default=str)
+            transcript = json.dumps([dict(zip(_LOG_FIELDS, entry)) for entry in self._entries()], default=str)
         return pattern not in transcript
 
     # -- service face ----------------------------------------------------------
@@ -187,6 +191,39 @@ class Gateway:
             return response.to_json()
 
         return Dispatcher({"gateway.invoke": _invoke})
+
+
+class CallLog(Sequence):
+    """The first `len` entries of a gateway's transcript, as call_log reads
+    them. Each item is built when it is read, so a caller that walks the log
+    holds one entry at a time, and each is a fresh dict the caller may change.
+    Invokes made after the view was taken are not in it. A slice is a list."""
+
+    __slots__ = ("_gateway", "_len")
+
+    def __init__(self, gateway: Gateway, length: int):
+        self._gateway = gateway
+        self._len = length
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._gateway._call(i) for i in range(self._len)[index]]
+        return self._gateway._call(range(self._len)[index])
+
+    def __iter__(self):
+        for i in range(self._len):
+            yield self._gateway._call(i)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, CallLog)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"CallLog({list(self)!r})"
 
 
 def serve_gateway(gateway: Gateway, host: str = "127.0.0.1", port: int = 0) -> WireServer:

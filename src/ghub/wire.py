@@ -8,9 +8,10 @@ connection. Frames are capped at 1 MiB including the trailing newline.
 
 A TCP call opens a connection and closes it after the reply, unless the
 caller passes a ConnectionPool: a long-lived caller of its own back ends
-(the hub) keeps one connection to each alive in one. A `local:` call runs
-its handler on WORKERS, the process-wide long-lived threads that also run
-the PDP votes.
+(the hub) keeps one connection to each alive in one. WORKERS, the
+process-wide long-lived threads, run a `local:` call's handler, the PDP
+votes, and each connection a WireServer accepts, for as long as it stays
+open; so a one-shot connection starts no thread when a worker is idle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import socketserver
 import threading
 import time
 import uuid
-from concurrent.futures import Future, TimeoutError as FutureTimeout
+from concurrent.futures import Future, TimeoutError as FutureTimeout, wait as futures_wait
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -195,9 +196,9 @@ class _Fanout:
                 task = inbox.get()  # a task was handed over as the wait ran out
 
 
-# The only workers that run calls under a deadline: PDP votes and `local:`
-# calls. Idle as long as a call's default deadline, so steady traffic keeps
-# its workers and the extra threads of a burst are gone soon after it.
+# The workers that run PDP votes, `local:` calls and the connections a
+# WireServer accepts. Idle as long as a call's default deadline, so steady
+# traffic keeps its workers and the extra threads of a burst are gone soon after it.
 WORKERS = _Fanout(idle_seconds=5.0)
 
 
@@ -273,50 +274,61 @@ class _FrameHandler(socketserver.StreamRequestHandler):
             pass
 
 
-class _TcpServer(socketserver.ThreadingTCPServer):
+class _TcpServer(socketserver.TCPServer):
+    """Serves each accepted connection on one of WORKERS until it closes."""
+
     allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(self, address, handler):
         super().__init__(address, handler)
         self.stopping = False
-        self._open: set[socket.socket] = set()
-        self._open_changed = threading.Condition()
+        self._open: dict[socket.socket, Future] = {}  # connection -> its serve loop, until that settles
+        self._lock = threading.Lock()
 
     def process_request(self, request, client_address):
-        with self._open_changed:
-            self._open.add(request)
-        super().process_request(request, client_address)
+        serving = WORKERS.submit(self._serve, (request, client_address))
+        with self._lock:
+            self._open[request] = serving
+        serving.add_done_callback(lambda _: self._forget(request))  # runs at once if already settled
 
-    def shutdown_request(self, request):
-        super().shutdown_request(request)
-        with self._open_changed:
-            self._open.discard(request)
-            self._open_changed.notify_all()
+    def _serve(self, connection) -> None:
+        request, client_address = connection
+        worker = threading.current_thread()
+        idle_name, worker.name = worker.name, f"ghub-conn {client_address[0]}:{client_address[1]}"
+        try:
+            self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
+        finally:
+            self.shutdown_request(request)
+            worker.name = idle_name
+
+    def _forget(self, request) -> None:
+        with self._lock:
+            self._open.pop(request, None)
 
     def end_connections(self, timeout: float) -> None:
-        """Close every accepted connection, waiting up to `timeout` for the
-        handlers. Handler threads are daemons, which server_close does not
-        join. Only the read side is shut: that ends a handler's blocked read
-        of an idle connection, and a handler mid-request still writes its
-        reply, then reads no further request."""
-        with self._open_changed:
+        """Close every accepted connection, waiting up to `timeout` for their
+        serve loops to end and their workers to be idle again. Only the read
+        side is shut: that ends a blocked read of an idle connection, and a
+        connection mid-request still gets its reply, then is read no further."""
+        with self._lock:
             self.stopping = True
-            open_now = list(self._open)
+            open_now = dict(self._open)
         for sock in open_now:
             try:
                 sock.shutdown(socket.SHUT_RD)
             except OSError:
                 pass
-        with self._open_changed:
-            self._open_changed.wait_for(lambda: not self._open, timeout)
+        futures_wait(open_now.values(), timeout)
 
 
 class WireServer:
-    """A threaded TCP frame server bound to one dispatcher.
+    """A TCP frame server bound to one dispatcher.
 
-    Handles concurrent connections; requests pipelined on one connection get
-    their responses in arrival order, matched by envelope id.
+    Handles concurrent connections, each on one of the shared WORKERS for as
+    long as it stays open; requests pipelined on one connection get their
+    responses in arrival order, matched by envelope id.
     """
 
     def __init__(self, dispatcher: Dispatcher, host: str = "127.0.0.1", port: int = 0):
@@ -339,12 +351,14 @@ class WireServer:
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.end_connections(timeout=5)
-        self._server.server_close()
+        """Stop serving and close the listening socket; a server never started
+        only closes it, and a second stop does nothing more."""
         if self._thread is not None:
+            self._server.shutdown()  # waits for serve_forever, so only once it runs
+            self._server.end_connections(timeout=5)
             self._thread.join(timeout=5)
             self._thread = None
+        self._server.server_close()
 
     def __enter__(self) -> "WireServer":
         return self.start()

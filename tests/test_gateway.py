@@ -87,14 +87,15 @@ class TestInvoke:
         assert gateway.call_log[0]["outcome"] != "tampered"
 
 
-class TestCallsSince:
-    @pytest.fixture
-    def logged(self, gateway):
-        token = gateway.link_account("alice", "hunter2", NOW)
-        for n in range(6):
-            gateway.invoke(token if n % 2 else None, "iot:hue/light1", "write", f"v{n}", NOW + n)
-        return gateway
+@pytest.fixture
+def logged(gateway):
+    token = gateway.link_account("alice", "hunter2", NOW)
+    for n in range(6):
+        gateway.invoke(token if n % 2 else None, "iot:hue/light1", "write", f"v{n}", NOW + n)
+    return gateway
 
+
+class TestCallsSince:
     @pytest.mark.parametrize("start", [0, 3, 6, 9, -2])
     def test_equals_the_tail_of_call_log(self, logged, start):
         assert logged.calls_since(start) == logged.call_log[start:]
@@ -107,6 +108,59 @@ class TestCallsSince:
     def test_returns_copies(self, logged):
         logged.calls_since(5)[0]["outcome"] = "tampered"
         assert logged.calls_since(5)[0]["outcome"] == "ok"
+
+
+class TestCallLogView:
+    def test_reads_as_the_list_it_replaces(self, logged):
+        log = logged.call_log
+        as_list = list(log)
+        assert len(log) == 6 and log == as_list and as_list == log and log == logged.call_log
+        assert log[-1] == as_list[-1] and log[-6] == as_list[0] and log[2] == as_list[2]
+        assert log[1:4] == as_list[1:4] and isinstance(log[1:4], list)
+        assert log[::-2] == as_list[::-2] and log[9:] == []
+        assert log != as_list[:-1] and log != as_list[::-1] and log != tuple(as_list)
+        for index in (6, -7):
+            with pytest.raises(IndexError):
+                log[index]
+
+    def test_later_invokes_are_not_in_it(self, logged):
+        log = logged.call_log
+        before = list(log)
+        logged.invoke(None, "iot:hue/light1", "read", None, NOW + 6)
+        assert len(log) == 6 and list(log) == before and log[-1]["timestamp"] == NOW + 5
+        with pytest.raises(IndexError):
+            log[6]
+        assert len(logged.call_log) == 7
+
+    def test_changing_an_item_leaves_the_transcript(self, logged):
+        log = logged.call_log
+        for entry in log:
+            entry["outcome"] = "tampered"
+        log[0]["resource"] = "tampered"
+        log[1:3][0]["action"] = "tampered"
+        assert "tampered" not in json.dumps(list(logged.call_log))
+
+    def test_dumps_as_json(self, logged):
+        log = logged.call_log
+        assert json.loads(json.dumps(list(log))) == log
+
+    def test_reading_the_log_holds_one_entry_at_a_time(self, gateway):
+        token = gateway.link_account("alice", "hunter2", NOW)
+        invokes = 10_000
+        for n in range(invokes):
+            gateway.invoke(token, "iot:hue/light1", "read", None, NOW + n // 100)  # inside the token's 600 s
+        gc.collect()
+        tracemalloc.start()
+        try:
+            log = gateway.call_log
+            read = sum(entry["outcome"] == "ok" for entry in log)
+            last = log[-1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(log) == read == invokes and last["timestamp"] == NOW + (invokes - 1) // 100
+        # a list of five-key dicts took about 2 MB
+        assert peak < 64 * 1024
 
 
 class TestObservability:

@@ -297,6 +297,56 @@ class TestTcpTransport:
             assert sorted(results) == list(range(8))
 
 
+class TestServerWorkers:
+    def test_stop_before_start_closes_the_socket_and_returns(self):
+        server = WireServer(echo_dispatcher())
+        endpoint = server.endpoint
+        stopper = threading.Thread(target=lambda: (server.stop(), server.stop()), daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            call(endpoint, Envelope.request("echo", {}), timeout=2)
+
+    def test_one_shot_connections_reuse_workers(self, monkeypatch):
+        with WireServer(echo_dispatcher()) as server:
+            assert request(server.endpoint, "echo", {"warm": 1}) == {"warm": 1}
+            started = count_thread_starts(monkeypatch)
+            for i in range(50):
+                assert request(server.endpoint, "echo", {"i": i}) == {"i": i}
+            assert len(started) <= 2
+
+    def test_stop_leaves_every_serving_worker_idle_and_renamed(self, monkeypatch):
+        served = {}
+
+        def who(_body):
+            worker = threading.current_thread()
+            served[worker] = worker.name
+            return worker.name
+
+        pool = ConnectionPool()
+        try:
+            with WireServer(Dispatcher({"who": who})) as server:
+                kept = request(server.endpoint, "who", {}, pool=pool)  # still open at stop
+                one_shot = request(server.endpoint, "who", {})
+            assert kept != one_shot and all(n.startswith("ghub-conn 127.0.0.1:") for n in (kept, one_shot))
+            assert len(served) == 2 and all(worker.name == "ghub-worker" for worker in served)
+            # idle workers are handed out most recently idle first, so these
+            # tasks land on the two that served, and no thread starts
+            started = count_thread_starts(monkeypatch)
+            gate = threading.Event()
+
+            def held(_):
+                gate.wait(5)
+                return threading.current_thread()
+
+            holders = [WORKERS.submit(held, None) for _ in served]
+            gate.set()
+            assert {f.result(timeout=5) for f in holders} == set(served) and started == []
+        finally:
+            pool.close()
+
+
 def thread_name(_body):
     # a server runs each connection on its own thread, so the name tells connections apart
     return threading.current_thread().name

@@ -13,6 +13,27 @@ import unicodedata
 from typing import Any
 
 _SCALARS = (bool, int, float)
+# leaf types encoded as they are; a subclass (IntEnum, a str subclass) takes the normalising copy
+_PLAIN_LEAVES = frozenset((str, int, float, bool, type(None)))
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+
+
+def _plain(value: Any) -> bool:
+    """True iff value holds only exact dicts with str keys, lists, tuples and plain leaves."""
+    kind = type(value)
+    if kind in _PLAIN_LEAVES:
+        return True
+    if kind is dict:
+        for k, v in value.items():
+            if type(k) is not str or not _plain(v):
+                return False
+        return True
+    if kind is list or kind is tuple:
+        for v in value:
+            if not _plain(v):
+                return False
+        return True
+    return False
 
 
 def _normalize(value: Any) -> Any:
@@ -35,13 +56,12 @@ def _normalize(value: Any) -> Any:
 def canonical_text(value: Any) -> str:
     """Render a JSON value in canonical form."""
     # sorted() on str compares code points, which for UTF-8 equals byte order
-    return json.dumps(
-        _normalize(value),
-        sort_keys=True,
-        ensure_ascii=False,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    if _plain(value):
+        text = _ENCODER.encode(value)
+        # NFC leaves ASCII as it is, so an ASCII rendering needs no normalised copy
+        if text.isascii():
+            return text
+    return _ENCODER.encode(_normalize(value))
 
 
 def canonical_bytes(value: Any) -> bytes:

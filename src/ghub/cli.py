@@ -91,6 +91,8 @@ def cmd_grant(args) -> int:
         return _fail(f"{exc.code}: {exc.message}", 1)
     except (ValueError, ConnectionRefusedError, TimeoutError) as exc:
         return _fail(str(exc), 1)
+    finally:
+        registry.close()
     _emit(args, {"did": did.render(), "height": height}, f"{did.render()} (block {height})")
     return 0
 
@@ -107,6 +109,8 @@ def cmd_revoke(args) -> int:
         return _fail(f"{exc.code}: {exc.message}", 1)
     except (ValueError, ConnectionRefusedError, TimeoutError) as exc:
         return _fail(str(exc), 1)
+    finally:
+        registry.close()
     _emit(args, {"did": args.did, "height": height}, f"revoked at block {height}")
     return 0
 
@@ -119,6 +123,8 @@ def cmd_resolve(args) -> int:
         return _fail(f"{exc.code}: {exc.message}", 1)
     except (ValueError, ConnectionRefusedError, TimeoutError) as exc:
         return _fail(str(exc), 1)
+    finally:
+        registry.close()
     payload = {
         "status": result.status.value,
         "as_of": result.as_of,

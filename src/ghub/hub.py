@@ -24,7 +24,6 @@ from .identity import (
     Challenge,
     Did,
     DocumentStatus,
-    NonceWindow,
     SignedDidDocument,
     as_did,
     make_challenge,
@@ -130,7 +129,6 @@ class Hub:
         self._challenges: dict[Did, deque[tuple[Challenge, SignedDidDocument]]] = {}
         self._sessions: dict[str, GuestSession] = {}
         self._session_of: dict[Did, str] = {}  # guest DID -> its one live session id
-        self._nonces = NonceWindow()
         self._lock = threading.RLock()
         self._flights: dict[tuple, threading.Lock] = {}
 
@@ -140,9 +138,8 @@ class Hub:
         """Resolve and vet the guest's document, then issue a challenge."""
         did = as_did(guest_did)
         sdoc = self._resolve_active(did, now)
+        # a 32-byte random nonce does not repeat, and complete_auth uses up what it answers
         challenge = make_challenge(self.config.hub_id, now)
-        while not self._nonces.add(challenge.nonce):
-            challenge = make_challenge(self.config.hub_id, now)
         with self._lock:
             pending = self._challenges.setdefault(did, deque(maxlen=CHALLENGES_PER_GUEST))
             pending.append((challenge, sdoc))

@@ -16,8 +16,6 @@ import json
 import secrets
 import struct
 import sys
-import threading
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -376,36 +374,6 @@ def verify_challenge(challenge: Challenge, response: bytes, guest_key: bytes) ->
     if len(guest_key) != 32 or len(response) != 64:
         return False
     return verify_signature(guest_key, response, _challenge_signing_bytes(challenge))
-
-
-class NonceWindow:
-    """Remembers recently issued nonces so a hub never reuses or re-accepts one.
-
-    Bounded FIFO; safe under concurrent verification calls.
-    """
-
-    def __init__(self, capacity: int = 4096):
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self._capacity = capacity
-        self._seen: set[bytes] = set()
-        self._order: deque[bytes] = deque()
-        self._lock = threading.Lock()
-
-    def add(self, nonce: bytes) -> bool:
-        """Record a nonce; False if it was already in the window."""
-        with self._lock:
-            if nonce in self._seen:
-                return False
-            self._seen.add(nonce)
-            self._order.append(nonce)
-            while len(self._order) > self._capacity:
-                self._seen.discard(self._order.popleft())
-            return True
-
-    def __contains__(self, nonce: bytes) -> bool:
-        with self._lock:
-            return nonce in self._seen
 
 
 def save_keypair(path: str | Path, keypair: Keypair) -> None:

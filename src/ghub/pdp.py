@@ -424,8 +424,11 @@ def aggregate(
 
     Grant votes are counted only from well-formed verdicts; when replica_keys
     is given, a verdict must also carry a valid signature from a known
-    replica. valid_until of a granted decision is the minimum over granting
-    votes, treating an absent valid_until as now + default_ttl.
+    replica, and each replica is counted once: a further verified verdict of
+    the same replica, such as a copy another endpoint relayed, is a
+    `duplicate` and never a grant. valid_until of a granted decision is the
+    minimum over granting votes, treating an absent valid_until as
+    now + default_ttl.
     """
     if len(entries) != n_replicas:
         raise ValueError(f"expected {n_replicas} entries, got {len(entries)}")
@@ -433,6 +436,7 @@ def aggregate(
     request_digest = req.digest() if req is not None and replica_keys is not None else None
     grants: list[int] = []
     notes: list[str] = []
+    counted: set[str] = set()
     for entry in entries:
         if isinstance(entry, ReplicaFailure):
             notes.append(f"{entry.endpoint}:{entry.reason}")
@@ -446,6 +450,10 @@ def aggregate(
             if request_digest is None or not _verdict_verifies(verdict, request_digest, key):
                 notes.append(f"{verdict.replica_id}:bad-signature")
                 continue
+            if verdict.replica_id in counted:
+                notes.append(f"{verdict.replica_id}:duplicate")
+                continue
+            counted.add(verdict.replica_id)
         if verdict.granted:
             grants.append(verdict.valid_until if verdict.valid_until is not None else now + default_ttl)
             notes.append(f"{verdict.replica_id}:grant")

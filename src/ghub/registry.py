@@ -567,12 +567,23 @@ def registry_dispatcher(registry: Registry) -> Dispatcher:
 
 
 class RegistryClient:
-    """Wire-backed registry access with the same read/write face as Registry."""
+    """Wire-backed registry access with the same read/write face as Registry.
+
+    Calls share one kept-alive connection: the caller's pool if one is
+    passed (the hub passes its own), else a pool the client makes, which
+    `close` releases.
+    """
 
     def __init__(self, endpoint: str, timeout: float = 5.0, pool: ConnectionPool | None = None):
         self.endpoint = endpoint
         self.timeout = timeout
-        self._pool = pool
+        self._own_pool = ConnectionPool() if pool is None else None
+        self._pool = self._own_pool if pool is None else pool
+
+    def close(self) -> None:
+        """Close the client's own pool; a passed-in pool stays open."""
+        if self._own_pool is not None:
+            self._own_pool.close()
 
     def _request(self, op: str, body: dict):
         try:

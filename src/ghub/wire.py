@@ -8,7 +8,8 @@ connection. Frames are capped at 1 MiB including the trailing newline.
 
 A TCP call opens a connection and closes it after the reply, unless the
 caller passes a ConnectionPool: a long-lived caller of its own back ends
-(the hub) keeps one connection to each alive in one. WORKERS, the
+(the hub) keeps one connection to each alive in one, and so does an owner's
+RegistryClient; a guest's HubClient does not. WORKERS, the
 process-wide long-lived threads, run a `local:` call's handler, the PDP
 votes, and each connection a WireServer accepts, for as long as it stays
 open; so a one-shot connection starts no thread when a worker is idle.

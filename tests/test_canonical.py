@@ -1,11 +1,14 @@
+import json
 import math
 import unicodedata
+from enum import IntEnum
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghub.canonical import canonical_bytes, canonical_text, parse
+from ghub import canonical
+from ghub.canonical import _normalize, canonical_bytes, canonical_text, parse
 
 
 def test_keys_sorted_and_compact():
@@ -81,3 +84,94 @@ def test_parsed_value_is_nfc_of_input(value):
         return v
 
     assert parse(canonical_bytes(value)) == nfc(value)
+
+
+class Label(str):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+def reference_bytes(value):
+    """The encoding before the ASCII fast path: a normalised copy, then json.dumps."""
+    try:
+        return json.dumps(
+            _normalize(value), sort_keys=True, ensure_ascii=False, separators=(",", ":"), allow_nan=False
+        ).encode("utf-8")
+    except Exception as exc:
+        return type(exc)
+
+
+def fast_bytes(value):
+    try:
+        return canonical_bytes(value)
+    except Exception as exc:
+        return type(exc)
+
+
+# ASCII, composed and decomposed letters, and a code point NFC rewrites (the Angstrom sign)
+texts = st.text(st.sampled_from("abe\"\\\n\x00\u00e9\u0301\u212b\u00c5\U0001f600") | st.characters(), max_size=8)
+keys = st.one_of(
+    texts,
+    texts.map(Label),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.none(),
+    st.booleans(),
+)
+mixed_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | texts
+    | texts.map(Label)
+    | st.sampled_from(list(Level)),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(texts, children, max_size=4)
+    | st.dictionaries(texts, children, max_size=4).map(Table)
+    | st.dictionaries(keys, children, max_size=3),
+    max_leaves=16,
+)
+
+
+@given(mixed_values)
+@settings(max_examples=300, deadline=None)
+def test_fast_path_matches_the_normalising_encoder(value):
+    assert fast_bytes(value) == reference_bytes(value)
+
+
+@pytest.mark.parametrize(
+    "value, outcome",
+    [
+        ({1: "x"}, TypeError),
+        ({"a": float("nan")}, ValueError),
+        ({"a": [1, float("-inf")]}, ValueError),
+        ({"cafe\u0301": 1}, b'{"caf\xc3\xa9":1}'),
+        ({"caf\u00e9": 1}, b'{"caf\xc3\xa9":1}'),
+        ({"k": ("a", Label("cafe\u0301"), Level.HIGH)}, b'{"k":["a","caf\xc3\xa9",2]}'),
+    ],
+)
+def test_fast_path_cases(value, outcome):
+    assert fast_bytes(value) == outcome == reference_bytes(value)
+
+
+def test_an_ascii_value_is_encoded_without_a_normalised_copy(monkeypatch):
+    def refused(value):
+        raise AssertionError("normalised copy made")
+
+    monkeypatch.setattr(canonical, "_normalize", refused)
+    envelope = {"id": "7f3a", "op": "pdp.evaluate", "version": 1, "body": {"now": 17, "ok": True, "v": [1.5, None]}}
+    assert canonical_text(envelope) == (
+        '{"body":{"now":17,"ok":true,"v":[1.5,null]},"id":"7f3a","op":"pdp.evaluate","version":1}'
+    )
+    with pytest.raises(AssertionError):
+        canonical_text({"k": "caf\u00e9"})

@@ -13,7 +13,6 @@ from ghub.identity import (
     DidDocument,
     DocumentStatus,
     Keypair,
-    NonceWindow,
     SignedDidDocument,
     build_and_sign_guest_document,
     canonicalize,
@@ -431,44 +430,6 @@ class TestChallenges:
         challenge = make_challenge("hub1", NOW)
         for _ in range(10_000):
             assert not verify_challenge(challenge, secrets.token_bytes(64), guest.public_key)
-
-
-class TestNonceWindow:
-    def test_rejects_duplicates(self):
-        window = NonceWindow()
-        nonce = secrets.token_bytes(32)
-        assert window.add(nonce)
-        assert not window.add(nonce)
-
-    def test_eviction_beyond_capacity(self):
-        window = NonceWindow(capacity=2)
-        first, second, third = (bytes([i]) * 32 for i in range(3))
-        assert window.add(first) and window.add(second) and window.add(third)
-        assert first not in window
-        assert second in window and third in window
-
-    def test_safe_under_concurrent_adds(self):
-        import threading
-
-        window = NonceWindow(capacity=10_000)
-        nonces = [bytes([i % 256, i // 256]) + bytes(30) for i in range(2000)]
-        accepted = []
-        lock = threading.Lock()
-
-        def worker(chunk):
-            for nonce in chunk:
-                if window.add(nonce):
-                    with lock:
-                        accepted.append(nonce)
-
-        threads = [threading.Thread(target=worker, args=(nonces,)) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # every nonce accepted exactly once across all racing threads
-        assert len(accepted) == len(nonces)
-        assert len(set(accepted)) == len(nonces)
 
 
 class TestKeyFiles:

@@ -23,7 +23,7 @@ from ghub.pdp import (
     serve_replica,
     verify_verdict,
 )
-from ghub.wire import ConnectionPool, Dispatcher, ServiceError, _Fanout, request, unregister_local
+from ghub.wire import ConnectionPool, Dispatcher, ServiceError, WireServer, _Fanout, request, unregister_local
 from helpers import (
     NOW,
     LyingReplica,
@@ -507,3 +507,76 @@ class TestLongLivedFanout:
             pool.close()
             for server in servers:
                 server.stop()
+
+
+class TestOneVotePerReplica:
+    """A quorum counts distinct verified replicas: a copy of one replica's verdict counts once."""
+
+    def test_a_relayed_copy_of_a_grant_is_denied_over_tcp(self):
+        allow, deny = allow_all_rule("p", ttl=300), parse_policy({"policy_id": "p", "clauses": []})
+        rules = (allow, deny, allow)
+        replicas = [PdpReplica(f"r{i}", seeded_keypair(70 + i), {"p": rule}) for i, rule in enumerate(rules)]
+        servers = [serve_replica(r) for r in replicas[:2]]
+        # the third endpoint holds no key: it forwards each request to r0 and returns r0's signed grant
+        relay = WireServer(
+            Dispatcher({"pdp.evaluate": lambda body: request(servers[0].endpoint, "pdp.evaluate", body)})
+        ).start()
+        servers.append(relay)
+        keys = {r.replica_id: r.key.public_key for r in replicas}
+        uri = f"pdp://{','.join(s.endpoint for s in servers)}/p?consensus=majority"
+        try:
+            decision = decide(uri, req(), keys, timeout=2)
+        finally:
+            for server in servers:
+                server.stop()
+        assert not decision.granted
+        assert decision.detail == "majority: 1/3 grant (r0:grant, r1:deny, r0:duplicate)"
+
+    def test_one_endpoint_listed_three_times_is_denied_under_unanimous(self):
+        replicas, names, endpoints, keys = make_replicas(3, allow_all_rule("p", ttl=300))
+        try:
+            uri = f"pdp://{endpoints[0]},{endpoints[0]},{endpoints[0]}/p?consensus=unanimous"
+            decision = decide(uri, req(), keys, timeout=2)
+        finally:
+            for name in names:
+                unregister_local(name)
+        assert not decision.granted
+        assert decision.detail.count("r0:duplicate") == 2
+
+    def test_a_failed_copy_does_not_hide_the_replicas_own_vote(self):
+        key = seeded_keypair(21)
+        good = make_verdict(req(), True, NOW + 60, "r0", key)
+        forged = PolicyVerdict(granted=True, valid_until=NOW + 60, replica_id="r0", signature=bytes(64))
+        decision = aggregate(
+            [forged, good], ConsensusRule.of_threshold(1), 2, now=NOW, req=req(), replica_keys={"r0": key.public_key}
+        )
+        assert decision.granted
+        assert decision.detail == "threshold: 1/2 grant (r0:bad-signature, r0:grant)"
+
+
+REPLICA_KEYS = [seeded_keypair(80 + i) for i in range(4)]
+VERDICTS = {
+    (i, granted): make_verdict(req(), granted, NOW + 60 if granted else None, f"r{i}", key)
+    for i, key in enumerate(REPLICA_KEYS)
+    for granted in (True, False)
+}
+
+
+@given(
+    granted=st.lists(st.booleans(), min_size=4, max_size=4),
+    votes=st.lists(st.integers(-1, 3), min_size=1, max_size=6),
+    kind=st.sampled_from(["majority", "unanimous", "threshold"]),
+    k=st.integers(1, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_decision_counts_distinct_verified_grants(granted, votes, kind, k):
+    # each vote is a copy of replica i's verdict, or a failure (-1)
+    entries = [ReplicaFailure(f"ep{n}", "timeout") if i < 0 else VERDICTS[i, granted[i]] for n, i in enumerate(votes)]
+    rule = ConsensusRule.of_threshold(k) if kind == "threshold" else ConsensusRule(kind)
+    keys = {f"r{i}": key.public_key for i, key in enumerate(REPLICA_KEYS)}
+    decision = aggregate(entries, rule, len(entries), now=NOW, req=req(), replica_keys=keys)
+    distinct = len({i for i in votes if i >= 0 and granted[i]})
+    n = len(entries)
+    expected = {"majority": 2 * distinct > n, "unanimous": distinct == n, "threshold": distinct >= k}[kind]
+    assert decision.granted == expected
+    assert decision.valid_until == (NOW + 60 if expected else NOW)

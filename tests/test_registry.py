@@ -5,9 +5,11 @@ import os
 import random
 import resource
 import signal
+import socket
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -35,7 +37,7 @@ from ghub.registry import (
     signed_tx,
     verify_blocks,
 )
-from ghub.wire import ServiceError, request, unregister_local
+from ghub.wire import ConnectionPool, ServiceError, WireServer, request, unregister_local
 from helpers import NOW, fold_resolution, seeded_keypair, unique_local
 
 
@@ -879,3 +881,82 @@ class TestOneCheckPerEntry:
         assert loaded.resolve(refused_did, NOW).status is ResolutionStatus.NOT_FOUND
         loaded.close()
         Registry.load(path).close()
+
+
+class TestClientConnection:
+    """A RegistryClient built without a pool keeps one connection for all its calls."""
+
+    @pytest.fixture
+    def connects(self, monkeypatch):
+        made = []
+        connect = socket.create_connection
+
+        def counted(*args, **kwargs):
+            sock = connect(*args, **kwargs)
+            made.append(sock)
+            return sock
+
+        monkeypatch.setattr(socket, "create_connection", counted)
+        return made
+
+    @pytest.fixture
+    def served(self, registry):
+        server = WireServer(registry_dispatcher(registry)).start()
+        yield server
+        server.stop()
+        registry.close()
+
+    def test_ten_calls_open_one_connection(self, served, alice, connects):
+        client = RegistryClient(served.endpoint)
+        try:
+            guest = seeded_keypair(3)
+            did, create = grant_tx(alice, guest, seq=1)
+            assert client.submit(create) == 1
+            for _ in range(7):
+                assert client.resolve(did, NOW).status is ResolutionStatus.ACTIVE
+            assert client.verify_chain()
+            assert client.submit(signed_tx(KIND_REVOKE, did, None, alice, "alice", 2)) == 2
+        finally:
+            client.close()
+        assert len(connects) == 1
+
+    def test_a_restarted_registry_is_reached_and_a_stopped_one_refuses(self, registry, alice, connects):
+        server = WireServer(registry_dispatcher(registry)).start()
+        client = RegistryClient(server.endpoint, timeout=2.0)
+        guest = seeded_keypair(3)
+        did, create = grant_tx(alice, guest, seq=1)
+        try:
+            assert client.submit(create) == 1
+            server.stop()
+            server = WireServer(registry_dispatcher(registry), port=server.port).start()
+            assert client.resolve(did, NOW).status is ResolutionStatus.ACTIVE
+            assert len(connects) == 2 and connects[0].fileno() == -1
+            server.stop()
+            started = time.monotonic()
+            with pytest.raises(ConnectionRefusedError):
+                client.resolve(did, NOW)
+            assert time.monotonic() - started < 1.0
+        finally:
+            client.close()
+            server.stop()
+            registry.close()
+
+    def test_close_closes_only_the_clients_own_pool(self, served, alice, connects):
+        own = RegistryClient(served.endpoint)
+        assert own.verify_chain()
+        own.close()
+        assert connects[0].fileno() == -1
+        own.close()  # a second close does nothing
+        assert connects[0].fileno() == -1
+
+        pool = ConnectionPool()
+        try:
+            lent = RegistryClient(served.endpoint, pool=pool)
+            assert lent.verify_chain()
+            lent.close()
+            assert connects[1].fileno() != -1
+            assert RegistryClient(served.endpoint, pool=pool).verify_chain()
+            assert len(connects) == 2
+        finally:
+            pool.close()
+        assert connects[1].fileno() == -1

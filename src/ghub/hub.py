@@ -31,7 +31,7 @@ from .identity import (
     verify_challenge,
     verify_document,
 )
-from .pdp import SOURCE_SIMPLE, AccessDecision, PolicyRequest
+from .pdp import SOURCE_DELEGATED, SOURCE_SIMPLE, AccessDecision, PolicyRequest
 from .registry import RegistryClient, ResolutionStatus
 from .wire import ConnectionPool, Dispatcher, ServiceError, WireError, WireServer, request
 
@@ -244,6 +244,10 @@ class Hub:
             valid_until = min(now + self.config.default_ttl, doc.not_after)
             return AccessDecision(True, valid_until, SOURCE_SIMPLE, "resource listed in document")
 
+        try:
+            uri = pdp.parse_policy_uri(doc.policy_endpoint)
+        except ValueError as exc:
+            return AccessDecision(False, now, SOURCE_DELEGATED, f"bad policy endpoint: {exc}")
         req = PolicyRequest(
             guest_did=sess.guest_did.render(),
             resource=resource,
@@ -252,7 +256,7 @@ class Hub:
             now=now,
         )
         decision = pdp.decide(
-            doc.policy_endpoint,
+            uri,
             req,
             replica_keys=self.config.pdp_replica_keys,
             timeout=self.config.pdp_timeout,

@@ -5,23 +5,29 @@ same call contract so integration tests run without sockets.
 An envelope is {"id","op","body","version"}; the id is echoed verbatim in
 the response, and an unknown op yields a structured error, never a dropped
 connection. Frames are capped at 1 MiB including the trailing newline.
+Both transports answer through `_answer`, so a `local:` call is a TCP call
+minus the socket: request and reply are encoded, size-checked and decoded,
+and caller and callee share no objects.
 
 A TCP call opens a connection and closes it after the reply, unless the
 caller passes a ConnectionPool: a long-lived caller of its own back ends
 (the hub) keeps one connection to each alive in one, and so does an owner's
-RegistryClient; a guest's HubClient does not. WORKERS, the
-process-wide long-lived threads, run a `local:` call's handler, the PDP
-votes, and each connection a WireServer accepts, for as long as it stays
-open; so a one-shot connection starts no thread when a worker is idle.
+RegistryClient; a guest's HubClient does not. A WireServer is one accept
+thread; WORKERS, the process-wide long-lived threads, run a `local:` call's
+handler, the PDP votes, and each connection a WireServer accepts, for as
+long as it stays open; so a one-shot connection starts no thread when a
+worker is idle.
 """
 
 from __future__ import annotations
 
+import functools
 import queue
 import socket
-import socketserver
+import sys
 import threading
 import time
+import traceback
 import uuid
 from concurrent.futures import Future, TimeoutError as FutureTimeout, wait as futures_wait
 from dataclasses import dataclass
@@ -147,6 +153,25 @@ def _error_body(code: str, message: str) -> dict:
     return {"error": {"code": code, "message": message}}
 
 
+def _error_frame(code: str, message: str) -> bytes:
+    return encode_frame(Envelope(id="", op="", body=_error_body(code, message)))
+
+
+def _answer(dispatcher, frame: bytes) -> bytes:
+    """The reply frame to one request frame: both transports answer through
+    here. A frame that does not decode gets a ProtocolError reply, and a reply
+    that does not encode an Internal one; `dispatcher.handle` may raise."""
+    try:
+        envelope = decode_frame(frame)
+    except WireError as exc:
+        return _error_frame("ProtocolError", str(exc))
+    reply = dispatcher.handle(envelope)
+    try:
+        return encode_frame(reply)
+    except WireError as exc:  # handler returned something unencodable
+        return encode_frame(reply.reply(_error_body("Internal", str(exc))))
+
+
 # ---------------------------------------------------------------------------
 # Long-lived workers
 
@@ -231,135 +256,102 @@ def _local_call(name: str, envelope: Envelope, timeout: float) -> Envelope:
         dispatcher = _local_endpoints.get(name)
     if dispatcher is None:
         raise ConnectionRefusedError(f"no local endpoint {name!r}")
-    future = WORKERS.submit(dispatcher.handle, envelope)
+    future = WORKERS.submit(functools.partial(_answer, dispatcher), encode_frame(envelope))
     try:
         error = future.exception(timeout)
     except FutureTimeout:
         raise TimeoutError(f"local endpoint {name!r} did not answer within {timeout}s") from None
     if error is not None:
         raise ProtocolError(f"local endpoint {name!r} produced no response") from error
-    return future.result()
+    return decode_frame(future.result())
 
 
 # ---------------------------------------------------------------------------
 # TCP transport
 
-class _FrameHandler(socketserver.StreamRequestHandler):
-    def handle(self):
-        while True:
-            try:
-                line = self.rfile.readline(MAX_FRAME + 1)
-            except (ConnectionError, OSError):
-                return
-            if not line or self.server.stopping:  # type: ignore[attr-defined]
-                return  # a stopped server answers no request read after its stop
-            if len(line) > MAX_FRAME:
-                self._reply(Envelope(id="", op="", body=_error_body("FrameTooLarge", "frame exceeds 1 MiB")))
-                return  # cannot resync inside an oversize line; drop the connection
-            try:
-                envelope = decode_frame(line)
-            except WireError as exc:
-                self._reply(Envelope(id="", op="", body=_error_body("ProtocolError", str(exc))))
-                continue
-            self._reply(self.server.dispatcher.handle(envelope))  # type: ignore[attr-defined]
-
-    def _reply(self, envelope: Envelope) -> None:
-        try:
-            frame = encode_frame(envelope)
-        except WireError as exc:  # handler returned something unserializable
-            frame = encode_frame(envelope.reply(_error_body("Internal", str(exc))))
-        try:
-            self.wfile.write(frame)
-            self.wfile.flush()
-        except (ConnectionError, OSError):
-            pass
-
-
-class _TcpServer(socketserver.TCPServer):
-    """Serves each accepted connection on one of WORKERS until it closes."""
-
-    allow_reuse_address = True
-
-    def __init__(self, address, handler):
-        super().__init__(address, handler)
-        self.stopping = False
-        self._open: dict[socket.socket, Future] = {}  # connection -> its serve loop, until that settles
-        self._lock = threading.Lock()
-
-    def process_request(self, request, client_address):
-        serving = WORKERS.submit(self._serve, (request, client_address))
-        with self._lock:
-            self._open[request] = serving
-        serving.add_done_callback(lambda _: self._forget(request))  # runs at once if already settled
-
-    def _serve(self, connection) -> None:
-        request, client_address = connection
-        worker = threading.current_thread()
-        idle_name, worker.name = worker.name, f"ghub-conn {client_address[0]}:{client_address[1]}"
-        try:
-            self.finish_request(request, client_address)
-        except Exception:
-            self.handle_error(request, client_address)
-        finally:
-            self.shutdown_request(request)
-            worker.name = idle_name
-
-    def _forget(self, request) -> None:
-        with self._lock:
-            self._open.pop(request, None)
-
-    def end_connections(self, timeout: float) -> None:
-        """Close every accepted connection, waiting up to `timeout` for their
-        serve loops to end and their workers to be idle again. Only the read
-        side is shut: that ends a blocked read of an idle connection, and a
-        connection mid-request still gets its reply, then is read no further."""
-        with self._lock:
-            self.stopping = True
-            open_now = dict(self._open)
-        for sock in open_now:
-            try:
-                sock.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass
-        futures_wait(open_now.values(), timeout)
-
-
 class WireServer:
     """A TCP frame server bound to one dispatcher.
 
-    Handles concurrent connections, each on one of the shared WORKERS for as
-    long as it stays open; requests pipelined on one connection get their
-    responses in arrival order, matched by envelope id.
+    One accept thread hands each connection to one of the shared WORKERS,
+    which serves it for as long as it stays open; requests pipelined on one
+    connection get their responses in arrival order, matched by envelope id.
+    `stop` wakes the blocked accept by shutting the listening socket down:
+    at once on Linux; a platform where that leaves accept blocked waits 5 s.
     """
 
     def __init__(self, dispatcher: Dispatcher, host: str = "127.0.0.1", port: int = 0):
-        self._server = _TcpServer((host, port), _FrameHandler)
-        self._server.dispatcher = dispatcher  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-
-    @property
-    def endpoint(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"{host}:{port}"
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
+        self._dispatcher = dispatcher
+        self._listener = socket.create_server((host, port))
+        host, self.port = self._listener.getsockname()[:2]  # kept, so both still read after stop
+        self.endpoint = f"{host}:{self.port}"
+        self._accepting: threading.Thread | None = None
+        self._stopping = False
+        self._open: dict[socket.socket, Future] = {}  # connection -> its serve loop, until that settles
+        self._lock = threading.Lock()
 
     def start(self) -> "WireServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
+        self._accepting = threading.Thread(target=self._accept, name=f"ghub-accept {self.endpoint}", daemon=True)
+        self._accepting.start()
         return self
 
     def stop(self) -> None:
         """Stop serving and close the listening socket; a server never started
-        only closes it, and a second stop does nothing more."""
-        if self._thread is not None:
-            self._server.shutdown()  # waits for serve_forever, so only once it runs
-            self._server.end_connections(timeout=5)
-            self._thread.join(timeout=5)
-            self._thread = None
-        self._server.server_close()
+        only closes it, and a second stop does nothing more. Open connections
+        have their read side shut, so an idle one ends at once and one
+        mid-request still gets its reply; stop waits up to 5 s for them."""
+        self._stopping = True
+        if self._accepting is not None:
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+            except OSError:
+                pass
+            self._accepting.join(timeout=5)
+            self._accepting = None
+            with self._lock:
+                open_now = dict(self._open)
+            for sock in open_now:
+                try:
+                    sock.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+            futures_wait(open_now.values(), 5)
+        self._listener.close()
+
+    def _accept(self) -> None:
+        while not self._stopping:
+            try:
+                sock, peer = self._listener.accept()
+            except OSError:
+                continue  # stop shut the listener, or a connection failed before it was accepted
+            serving = WORKERS.submit(self._serve, (sock, peer))
+            with self._lock:
+                self._open[sock] = serving
+            serving.add_done_callback(lambda _, sock=sock: self._forget(sock))  # runs at once if already settled
+
+    def _forget(self, sock: socket.socket) -> None:
+        with self._lock:
+            self._open.pop(sock, None)
+
+    def _serve(self, connection: tuple[socket.socket, tuple]) -> None:
+        sock, peer = connection
+        worker = threading.current_thread()
+        idle_name, worker.name = worker.name, f"ghub-conn {peer[0]}:{peer[1]}"
+        try:
+            with sock, sock.makefile("rb") as frames:
+                # a stopped server answers no request read after its stop
+                while (line := frames.readline(MAX_FRAME + 1)) and not self._stopping:
+                    if len(line) > MAX_FRAME:
+                        # cannot resync inside an oversize line; drop the connection
+                        sock.sendall(_error_frame("FrameTooLarge", "frame exceeds 1 MiB"))
+                        return
+                    sock.sendall(_answer(self._dispatcher, line))
+        except OSError:
+            pass  # the peer went away, or stop shut the connection
+        except Exception:  # ends this connection only; the server keeps serving
+            print(f"ghub: error serving {peer[0]}:{peer[1]}", file=sys.stderr)
+            traceback.print_exc()
+        finally:
+            worker.name = idle_name
 
     def __enter__(self) -> "WireServer":
         return self.start()

@@ -441,6 +441,20 @@ class TestAccess:
                 world.hub.access("bogus-session", "iot:hue/light1", "read", None, NOW)
             assert err.value.code == "UnknownSession"
 
+    @pytest.mark.parametrize("policy_uri", ["https://example/p", "pdp://a,b/p?consensus=threshold-9", "pdp:///p"])
+    def test_unparsable_policy_endpoint_is_denied_over_tcp(self, policy_uri):
+        with build_simple_world(resources=(), policy_uri=policy_uri) as world:
+            server = serve_hub(world.hub)
+            try:
+                client = HubClient(server.endpoint)
+                session = client.authenticate(world.guest, NOW)
+                with pytest.raises(ServiceError) as err:
+                    client.access(session, "iot:hue/x", "read", now=NOW)
+                assert err.value.code == "Denied" and err.value.message.startswith("bad policy endpoint")
+                assert world.gateway.call_log == []
+            finally:
+                server.stop()
+
 
 class TestDecisionCache:
     def decision(self, valid_until):

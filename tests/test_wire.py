@@ -1,3 +1,4 @@
+import contextlib
 import socket
 import threading
 import time
@@ -133,6 +134,49 @@ class TestLocalTransport:
                 register_local(name, echo_dispatcher())
         finally:
             unregister_local(name)
+
+
+@contextlib.contextmanager
+def served(dispatcher, transport: str):
+    """The endpoint of `dispatcher` served over `transport`, "local" or "tcp"."""
+    if transport == "tcp":
+        with WireServer(dispatcher) as server:
+            yield server.endpoint
+        return
+    name, endpoint = unique_local(dispatcher)
+    try:
+        yield endpoint
+    finally:
+        unregister_local(name)
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+class TestBothTransports:
+    """A `local:` call is a TCP call minus the socket: encoded, size-checked and decoded."""
+
+    def test_handler_gets_a_copy_and_the_caller_a_new_reply(self, transport):
+        def grab(body):
+            body["n"] += 1
+            body["seen"].append("handler")
+            return body
+
+        sent = {"n": 1, "seen": []}
+        with served(Dispatcher({"grab": grab}), transport) as endpoint:
+            reply = request(endpoint, "grab", sent)
+        assert sent == {"n": 1, "seen": []}
+        assert reply == {"n": 2, "seen": ["handler"]} and reply is not sent
+
+    def test_unencodable_reply_is_internal(self, transport):
+        with served(Dispatcher({"set": lambda body: {1, 2}}), transport) as endpoint:
+            with pytest.raises(ServiceError) as err:
+                request(endpoint, "set", {})
+        assert err.value.code == "Internal"
+
+    def test_oversize_request_raises_frame_too_large(self, transport):
+        with served(echo_dispatcher(), transport) as endpoint:
+            with pytest.raises(FrameTooLarge):
+                request(endpoint, "echo", {"blob": "x" * MAX_FRAME})
+            assert request(endpoint, "echo", {"after": 1}) == {"after": 1}
 
 
 def count_thread_starts(monkeypatch) -> list:
@@ -279,6 +323,31 @@ class TestTcpTransport:
                 request(server.endpoint, "bogus.op", {})
             assert err.value.code == "UnknownOp"
 
+    def test_oversize_frame_is_answered_then_the_connection_dropped(self):
+        with WireServer(echo_dispatcher()) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+
+                def send():
+                    try:
+                        sock.sendall(b"x" * (MAX_FRAME + 100) + b"\n")
+                    except OSError:
+                        pass  # the server may drop the connection before it has read it all
+
+                sender = threading.Thread(target=send, daemon=True)
+                sender.start()
+                buf = b""
+                while not buf.endswith(b"\n"):
+                    chunk = sock.recv(65536)
+                    assert chunk, "connection closed before the reply"
+                    buf += chunk
+                assert decode_frame(buf).body["error"]["code"] == "FrameTooLarge"
+                try:
+                    assert sock.recv(65536) == b""
+                except ConnectionResetError:
+                    pass
+                sender.join(timeout=5)
+                assert not sender.is_alive()
+
     def test_concurrent_connections(self):
         with WireServer(echo_dispatcher()) as server:
             results = []
@@ -307,6 +376,31 @@ class TestServerWorkers:
         assert not stopper.is_alive()
         with pytest.raises(ConnectionRefusedError):
             call(endpoint, Envelope.request("echo", {}), timeout=2)
+
+    def test_stop_right_after_a_served_call_returns_at_once(self):
+        server = WireServer(echo_dispatcher()).start()
+        assert request(server.endpoint, "echo", {"n": 1}) == {"n": 1}
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 0.2
+
+    def test_a_raising_handle_ends_only_its_connection_and_is_printed(self, capfd):
+        class Breaking:
+            def handle(self, envelope):
+                if envelope.op == "break":
+                    raise RuntimeError("handler broke")
+                return envelope.reply(threading.current_thread().name)
+
+        pool = ConnectionPool()
+        try:
+            with WireServer(Breaking()) as server:
+                kept = request(server.endpoint, "who", {}, pool=pool)
+                with pytest.raises(ProtocolError):
+                    request(server.endpoint, "break", {})
+                assert request(server.endpoint, "who", {}, pool=pool) == kept
+            assert "RuntimeError: handler broke" in capfd.readouterr().err
+        finally:
+            pool.close()
 
     def test_one_shot_connections_reuse_workers(self, monkeypatch):
         with WireServer(echo_dispatcher()) as server:
@@ -441,7 +535,7 @@ class TestConnectionPool:
 
     def test_stop_lets_a_request_in_flight_finish(self):
         def slow(body):
-            time.sleep(1.0)  # still running when stop, after its up to 0.5 s poll, shuts connections
+            time.sleep(1.0)  # still running when stop shuts connections
             return body
 
         server = WireServer(Dispatcher({"slow": slow})).start()

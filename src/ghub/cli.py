@@ -33,7 +33,7 @@ from .identity import (
 )
 from .pdp import PdpReplica, parse_policy
 from .registry import MemberId, Registry, RegistryClient, registry_dispatcher
-from .wire import ServiceError, WireServer
+from .wire import CALL_FAILURES, ServiceError, WireServer
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -87,9 +87,7 @@ def cmd_grant(args) -> int:
             now,
             seq=args.seq if args.seq is not None else next_seq(),
         )
-    except ServiceError as exc:
-        return _fail(f"{exc.code}: {exc.message}", 1)
-    except (ValueError, ConnectionRefusedError, TimeoutError) as exc:
+    except CALL_FAILURES as exc:
         return _fail(str(exc), 1)
     finally:
         registry.close()
@@ -105,9 +103,7 @@ def cmd_revoke(args) -> int:
     registry = RegistryClient(args.registry)
     try:
         height = owner.revoke(registry, args.did, seq=args.seq if args.seq is not None else next_seq())
-    except ServiceError as exc:
-        return _fail(f"{exc.code}: {exc.message}", 1)
-    except (ValueError, ConnectionRefusedError, TimeoutError) as exc:
+    except CALL_FAILURES as exc:
         return _fail(str(exc), 1)
     finally:
         registry.close()
@@ -119,9 +115,7 @@ def cmd_resolve(args) -> int:
     registry = RegistryClient(args.registry)
     try:
         result = registry.resolve(args.did, _default_now(args))
-    except ServiceError as exc:
-        return _fail(f"{exc.code}: {exc.message}", 1)
-    except (ValueError, ConnectionRefusedError, TimeoutError) as exc:
+    except CALL_FAILURES as exc:
         return _fail(str(exc), 1)
     finally:
         registry.close()
@@ -154,10 +148,7 @@ def cmd_guest_access(args) -> int:
         session_id = client.complete_auth(did, respond_to_challenge(challenge, keypair), now)
         stages.append("access")
         reply = client.access(session_id, args.resource, args.action, payload, context, now)
-    except ServiceError as exc:
-        print(f"failed at {stages[-1]}: {exc.code}: {exc.message}", file=sys.stderr)
-        return 1
-    except (ConnectionRefusedError, TimeoutError) as exc:
+    except CALL_FAILURES as exc:
         print(f"failed at {stages[-1]}: {exc}", file=sys.stderr)
         return 1
     decision = reply.get("decision", {})

@@ -33,7 +33,7 @@ from .identity import (
 )
 from .pdp import SOURCE_DELEGATED, SOURCE_SIMPLE, AccessDecision, PolicyRequest
 from .registry import RegistryClient, ResolutionStatus
-from .wire import ConnectionPool, Dispatcher, ServiceError, WireError, WireServer, request
+from .wire import CALL_FAILURES, ConnectionPool, Dispatcher, ServiceError, WireServer, failure_reason, request
 
 
 # handshakes one guest may have outstanding at a hub; a further begin_auth drops the oldest
@@ -60,7 +60,7 @@ class HubConfig:
     cache_capacity: int = 128
     default_ttl: int = 60
     challenge_ttl: int = 30
-    pdp_timeout: float = 5.0
+    pdp_timeout: float = 5.0  # seconds, for each back-end call: a registry resolve, a PDP vote, a gateway call
 
     def __post_init__(self):
         if self.cache_capacity < 1:
@@ -123,7 +123,9 @@ class Hub:
         self.config = config
         self._pool = ConnectionPool()
         resolver = config.registry_endpoint
-        self._registry = RegistryClient(resolver, pool=self._pool) if isinstance(resolver, str) else resolver
+        if isinstance(resolver, str):
+            resolver = RegistryClient(resolver, timeout=config.pdp_timeout, pool=self._pool)
+        self._registry = resolver
         self._cache = DecisionCache(config.cache_capacity)
         # guest DID -> its outstanding (challenge, document) pairs, oldest first
         self._challenges: dict[Did, deque[tuple[Challenge, SignedDidDocument]]] = {}
@@ -186,7 +188,10 @@ class Hub:
             return len(present) == len(entries)
 
     def _resolve_active(self, did: Did, now: int) -> SignedDidDocument:
-        result = self._registry.resolve(did, now)
+        try:
+            result = self._registry.resolve(did, now)
+        except CALL_FAILURES as exc:
+            raise HubError("RegistryUnavailable", failure_reason(exc)) from exc
         if result.status == ResolutionStatus.NOT_FOUND:
             raise HubError("UnknownDid", f"{did} is not registered")
         if result.status == ResolutionStatus.REVOKED:
@@ -233,7 +238,7 @@ class Hub:
             if exc.code == "DocumentExpired":
                 self._drop_session(sess.session_id)
                 raise HubError("SessionExpired", exc.message) from exc
-            return AccessDecision(False, now, SOURCE_SIMPLE, f"re-resolve failed: {exc.code}")
+            return AccessDecision(False, now, SOURCE_SIMPLE, f"re-resolve failed: {exc}")
         sess.document = sdoc
         doc = sdoc.document
 
@@ -287,10 +292,8 @@ class Hub:
                 timeout=self.config.pdp_timeout,
                 pool=self._pool,
             )
-        except (OSError, WireError) as exc:
-            raise HubError("GatewayUnreachable", str(exc)) from exc
-        except ServiceError as exc:
-            raise HubError("GatewayUnreachable", f"{exc.code}: {exc.message}") from exc
+        except CALL_FAILURES as exc:
+            raise HubError("GatewayUnreachable", failure_reason(exc)) from exc
         if body.get("status") != "OK":
             reason = (body.get("body") or {}).get("reason", "rejected")
             raise HubError("GatewayRejectedToken", reason)

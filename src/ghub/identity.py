@@ -34,7 +34,7 @@ KEY_FILE_KIND = "ed25519-seed"
 PUBKEY_FILE_KIND = "ed25519-public"
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
-_B58_INDEX = {c: i for i, c in enumerate(_B58_ALPHABET)}
+_B58_CHARS = frozenset(_B58_ALPHABET)
 
 
 def _b58encode(data: bytes) -> str:
@@ -45,17 +45,6 @@ def _b58encode(data: bytes) -> str:
         n, rem = divmod(n, 58)
         out.append(_B58_ALPHABET[rem])
     return _B58_ALPHABET[0] * pad + "".join(reversed(out))
-
-
-def _b58decode(text: str) -> bytes:
-    pad = len(text) - len(text.lstrip(_B58_ALPHABET[0]))
-    n = 0
-    for ch in text:
-        if ch not in _B58_INDEX:
-            raise ValueError(f"invalid base58 character {ch!r}")
-        n = n * 58 + _B58_INDEX[ch]
-    body = n.to_bytes((n.bit_length() + 7) // 8, "big") if n else b""
-    return b"\x00" * pad + body
 
 
 def b64(data: bytes) -> str:
@@ -132,9 +121,10 @@ class Did:
 @lru_cache(maxsize=4096)
 def _parse_did(text: str) -> Did:
     parts = text.split(":")
-    if len(parts) != 3 or parts[0] != "did" or parts[1] != DID_METHOD or not parts[2]:
+    # the id must be non-empty base58; what it decodes to is not checked
+    well_formed = len(parts) == 3 and parts[0] == "did" and parts[1] == DID_METHOD
+    if not (well_formed and parts[2] and _B58_CHARS.issuperset(parts[2])):
         raise ValueError(f"not a did:{DID_METHOD} identifier: {text!r}")
-    _b58decode(parts[2])  # reject non-base58 ids early
     return Did(id=parts[2])
 
 

@@ -19,7 +19,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from .canonical import canonical_bytes, parse as parse_json
 from .identity import Keypair, b64, unb64, verify_signature
-from .wire import WORKERS, ConnectionPool, Dispatcher, ServiceError, WireServer, request
+from .wire import WORKERS, ConnectionPool, Dispatcher, ServiceError, WireServer, failure_reason, request
 
 ALLOW = "allow"
 DENY = "deny"
@@ -47,22 +47,6 @@ class Clause:
 class PolicyRule:
     policy_id: str
     clauses: tuple[Clause, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "policy_id": self.policy_id,
-            "clauses": [
-                {
-                    "effect": c.effect,
-                    "did_pattern": c.did_pattern,
-                    "resource_pattern": c.resource_pattern,
-                    "action_pattern": c.action_pattern,
-                    "context_predicates": [list(p) for p in c.context_predicates],
-                    **({"ttl_seconds": c.ttl_seconds} if c.ttl_seconds is not None else {}),
-                }
-                for c in self.clauses
-            ],
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -498,14 +482,8 @@ def decide(
         try:
             reply = request(endpoint, "pdp.evaluate", body, timeout=timeout, pool=pool)
             return PolicyVerdict.from_json(reply)
-        except ServiceError as exc:
-            return ReplicaFailure(endpoint, f"error:{exc.code}")
-        except TimeoutError:
-            return ReplicaFailure(endpoint, "timeout")
-        except ConnectionRefusedError:
-            return ReplicaFailure(endpoint, "unreachable")
-        except Exception as exc:
-            return ReplicaFailure(endpoint, f"malformed:{type(exc).__name__}")
+        except Exception as exc:  # a reply that is not a verdict is a failed vote too
+            return ReplicaFailure(endpoint, failure_reason(exc))
 
     futures = [WORKERS.submit(ask, endpoint) for endpoint in uri.endpoints]
     wait(futures, timeout=timeout)

@@ -14,7 +14,7 @@ import hashlib
 import json
 import uuid
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
 
@@ -50,21 +50,7 @@ class ScenarioReport:
     message: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "failed_step": self.failed_step,
-            "message": self.message,
-            "steps": [
-                {
-                    "index": s.index,
-                    "kind": s.kind,
-                    "ok": s.ok,
-                    "outcome": s.outcome,
-                    "expected": s.expected,
-                }
-                for s in self.steps
-            ],
-        }
+        return asdict(self)
 
 
 def _seed(kind: str, name: str) -> bytes:

@@ -17,6 +17,12 @@ thread; WORKERS, the process-wide long-lived threads, run a `local:` call's
 handler, the PDP votes, and each connection a WireServer accepts, for as
 long as it stays open; so a one-shot connection starts no thread when a
 worker is idle.
+
+A call that gets no usable answer raises one of CALL_FAILURES, and
+`failure_reason` names it in the words the PDP, the hub and the CLI all
+report: `error:<code>` for an error body, `timeout`, `unreachable` for a
+refused connection, and `malformed:<Type>` for anything else (a dropped
+connection, a reply that does not decode, an endpoint that does not parse).
 """
 
 from __future__ import annotations
@@ -58,6 +64,22 @@ class ServiceError(Exception):
         super().__init__(f"{code}: {message}" if message else code)
         self.code = code
         self.message = message
+
+
+# What `call` and `request` raise when they get no usable answer; ValueError
+# is an endpoint that does not parse. A caller catches exactly these.
+CALL_FAILURES = (ServiceError, OSError, WireError, ValueError)
+
+
+def failure_reason(exc: BaseException) -> str:
+    """The name of a failed call, as a vote, a hub error or the CLI reports it."""
+    if isinstance(exc, ServiceError):
+        return f"error:{exc.code}"
+    if isinstance(exc, TimeoutError):
+        return "timeout"
+    if isinstance(exc, ConnectionRefusedError):
+        return "unreachable"
+    return f"malformed:{type(exc).__name__}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -473,8 +495,10 @@ def _quiet(sock: socket.socket) -> bool:
 def call(endpoint: str, envelope: Envelope, timeout: float = 5.0, pool: ConnectionPool | None = None) -> Envelope:
     """Send one envelope and return the correlated response.
 
-    Raises TimeoutError, ConnectionRefusedError, or ProtocolError (id
-    mismatch, malformed response). Endpoints are "host:port" or "local:name".
+    Raises one of CALL_FAILURES: TimeoutError, ConnectionRefusedError or
+    another OSError, a WireError (id mismatch, malformed response), or a
+    ValueError for an endpoint that does not parse. Endpoints are
+    "host:port" or "local:name".
     Without a pool, a TCP call opens a connection and closes it after the
     reply; with one, it borrows a kept-alive connection to the endpoint.
     """
@@ -494,9 +518,13 @@ def call(endpoint: str, envelope: Envelope, timeout: float = 5.0, pool: Connecti
 
 
 def request(endpoint: str, op: str, body: Any, timeout: float = 5.0, pool: ConnectionPool | None = None) -> Any:
-    """Convenience wrapper: fresh correlation id, error bodies raised as ServiceError."""
+    """Convenience wrapper: fresh correlation id, error bodies raised as
+    ServiceError, and an error body that is not an object as ProtocolError;
+    so it raises only CALL_FAILURES."""
     response = call(endpoint, Envelope.request(op, body), timeout=timeout, pool=pool)
     if isinstance(response.body, dict) and "error" in response.body:
         err = response.body["error"]
+        if not isinstance(err, dict):
+            raise ProtocolError(f"error body from {endpoint} is not an object")
         raise ServiceError(str(err.get("code", "Unknown")), str(err.get("message", "")))
     return response.body

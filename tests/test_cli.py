@@ -3,6 +3,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -469,6 +470,38 @@ class TestServeFullStack:
                 proc.send_signal(signal.SIGTERM)
             for proc in procs:
                 proc.wait(timeout=10)
+
+
+class TestRemoteFailures:
+    """A remote call that gets no usable answer exits 1 with one line, not a traceback."""
+
+    def test_guest_access_to_an_endpoint_that_does_not_parse(self, guest_key_files, capsys):
+        guest_seed, _, _ = guest_key_files
+        code = run_cli(
+            "guest-access", "--key", guest_seed, "--hub", "nohost",
+            "--resource", "iot:hue/light1", "--action", "read", "--now", str(NOW),
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("failed at auth.begin: endpoint must be host:port") and "Traceback" not in err
+
+    def test_resolve_from_a_registry_that_drops_the_connection(self, capsys):
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5)
+
+        def drop_one():
+            with listener:
+                connection, _ = listener.accept()
+                connection.close()
+
+        dropper = threading.Thread(target=drop_one)
+        dropper.start()
+        host, port = listener.getsockname()[:2]
+        code = run_cli("resolve", "--did", ZERO_KEY_DID, "--registry", f"{host}:{port}")
+        dropper.join()
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_module_is_a_thin_shell():

@@ -11,7 +11,7 @@ from ghub.hub import CHALLENGES_PER_GUEST, DecisionCache, GatewayLink, Hub, HubC
 from ghub.identity import make_challenge, respond_to_challenge
 from ghub.pdp import AccessDecision, parse_policy
 from ghub.registry import registry_dispatcher, signed_tx
-from ghub.wire import ServiceError, WireServer, unregister_local
+from ghub.wire import Dispatcher, ServiceError, WireServer, unregister_local
 from helpers import (
     NOW,
     allow_all_rule,
@@ -571,3 +571,52 @@ def test_hub_over_tcp_reuses_its_backend_connections():
             registry_server.stop()
             gateway_server.stop()
             assert time.monotonic() - started < 3
+
+
+class TestRegistryFailure:
+    """A registry that gives no usable answer is RegistryUnavailable: begin_auth
+    raises it, and a cache miss is denied with it, never an Internal error."""
+
+    def test_stopped_registry_over_tcp(self):
+        with build_simple_world() as world:
+            registry_server = WireServer(registry_dispatcher(world.registry)).start()
+            hub = Hub(
+                HubConfig(
+                    hub_id="hub-tcp",
+                    registry_endpoint=registry_server.endpoint,
+                    known_owners=world.hub.config.known_owners,
+                    gateway_links=world.hub.config.gateway_links,
+                )
+            )
+            hub_server = serve_hub(hub)
+            try:
+                client = HubClient(hub_server.endpoint)
+                session = client.authenticate(world.guest, NOW)
+                registry_server.stop()
+                with pytest.raises(ServiceError) as err:
+                    client.access(session, "iot:hue/light1", "read", now=NOW)
+                assert err.value.code == "Denied"
+                assert err.value.message == "re-resolve failed: RegistryUnavailable: unreachable"
+                with pytest.raises(ServiceError) as err:
+                    client.authenticate(world.guest, NOW)
+                assert (err.value.code, err.value.message) == ("RegistryUnavailable", "unreachable")
+                assert world.gateway.call_log == []
+            finally:
+                hub_server.stop()
+                hub.close()
+                registry_server.stop()
+
+    def test_a_hung_registry_is_bounded_by_pdp_timeout(self):
+        release = threading.Event()
+        name, endpoint = unique_local(Dispatcher({"registry.resolve": lambda body: release.wait(5)}), "hung-registry")
+        hub = Hub(HubConfig(hub_id="hub1", registry_endpoint=endpoint, known_owners={}, pdp_timeout=0.3))
+        try:
+            started = time.monotonic()
+            with pytest.raises(HubError) as err:
+                hub.begin_auth(seeded_keypair(3).did, NOW)
+            assert time.monotonic() - started < 1
+            assert (err.value.code, err.value.message) == ("RegistryUnavailable", "timeout")
+        finally:
+            release.set()
+            unregister_local(name)
+            hub.close()

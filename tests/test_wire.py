@@ -1,14 +1,19 @@
+import ast
 import contextlib
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghub
+from ghub.canonical import canonical_bytes, parse
 from ghub.pdp import PolicyRequest, PolicyUri, decide, parse_policy_uri
 from ghub.wire import (
+    CALL_FAILURES,
     MAX_FRAME,
     WORKERS,
     ConnectionPool,
@@ -24,6 +29,7 @@ from ghub.wire import (
     decode_frame,
     decode_frames,
     encode_frame,
+    failure_reason,
     register_local,
     request,
     unregister_local,
@@ -626,3 +632,59 @@ class TestPolicyUri:
     def test_render_form(self):
         uri = PolicyUri(endpoints=("h:1",), policy_id="p", consensus="threshold", threshold=1)
         assert uri.render() == "pdp://h:1/p?consensus=threshold-1"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestCallFailures:
+    """`request` either returns the reply body or raises one of CALL_FAILURES,
+    and `failure_reason` names each failure the way every caller reports it."""
+
+    @given(st.one_of(JSON_VALUES, JSON_VALUES.map(lambda value: {"error": value})))
+    @settings(max_examples=150, deadline=None)
+    def test_request_returns_the_body_or_raises_a_call_failure(self, body):
+        name, endpoint = unique_local(Dispatcher({"answer": lambda _: body}), "answer")
+        try:
+            try:
+                reply = request(endpoint, "answer", None, timeout=2)
+            except CALL_FAILURES as exc:
+                assert isinstance(body, dict) and "error" in body
+                assert isinstance(exc, ServiceError if isinstance(body["error"], dict) else ProtocolError)
+            else:
+                assert reply == parse(canonical_bytes(body))
+        finally:
+            unregister_local(name)
+
+    @pytest.mark.parametrize(
+        "exc, reason",
+        [
+            (ServiceError("UnknownPolicy", "no policy"), "error:UnknownPolicy"),
+            (TimeoutError("late"), "timeout"),
+            (ConnectionRefusedError(111, "refused"), "unreachable"),
+            (ConnectionResetError(104, "reset"), "malformed:ConnectionResetError"),
+            (ProtocolError("closed"), "malformed:ProtocolError"),
+            (ValueError("endpoint must be host:port"), "malformed:ValueError"),
+        ],
+    )
+    def test_failure_reason(self, exc, reason):
+        assert isinstance(exc, CALL_FAILURES) and failure_reason(exc) == reason
+
+
+def test_only_wire_names_transport_failures():
+    # the call-failure taxonomy is written once, in wire: no other module's except clause names its parts
+    package = Path(ghub.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "wire.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                named |= {n.attr for n in ast.walk(node.type) if isinstance(n, ast.Attribute)}
+                offenders += [f"{path.name}:{node.lineno} {n}" for n in named & {"TimeoutError", "ConnectionRefusedError"}]
+    assert offenders == []

@@ -23,7 +23,7 @@ from .identity import (
     respond_to_challenge,
 )
 from .registry import KIND_CREATE, KIND_REVOKE, Registry, RegistryClient, signed_tx
-from .wire import request
+from .wire import read_reply, request
 
 
 def next_seq() -> int:
@@ -102,14 +102,14 @@ class HubClient:
         if now is not None:
             body["now"] = now
         reply = request(self.endpoint, "hub.auth.begin", body, timeout=self.timeout)
-        return Challenge.from_json(reply["challenge"])
+        return read_reply(self.endpoint, reply, lambda r: Challenge.from_json(r["challenge"]))
 
     def complete_auth(self, guest_did, response: bytes, now: int | None = None) -> str:
         body = {"guest_did": as_did(guest_did).render(), "response": b64(response)}
         if now is not None:
             body["now"] = now
         reply = request(self.endpoint, "hub.auth.complete", body, timeout=self.timeout)
-        return reply["session_id"]
+        return read_reply(self.endpoint, reply, lambda r: r["session_id"])
 
     def access(self, session_id: str, resource: str, action: str, payload=None, context=None, now: int | None = None) -> dict:
         body = {"session_id": session_id, "resource": resource, "action": action, "payload": payload}

@@ -13,13 +13,13 @@ from __future__ import annotations
 import hashlib
 import re
 import struct
-from concurrent.futures import wait
 from dataclasses import dataclass
 from urllib.parse import parse_qs, urlsplit
 
 from .canonical import canonical_bytes, parse as parse_json
 from .identity import Keypair, b64, unb64, verify_signature
-from .wire import WORKERS, ConnectionPool, Dispatcher, ServiceError, WireServer, failure_reason, request
+from .wire import ConnectionPool, Dispatcher, ServiceError, WireServer, failure_reason, request_all
+from .wire import request  # noqa: F401  (no vote uses it; kept as `pdp.request`, a name tracers patch)
 
 ALLOW = "allow"
 DENY = "deny"
@@ -467,34 +467,22 @@ def decide(
     default_ttl: int = DEFAULT_GRANT_TTL,
     pool: ConnectionPool | None = None,
 ) -> AccessDecision:
-    """Fan out to every replica endpoint concurrently and aggregate the votes.
+    """Ask every replica endpoint at once and aggregate the votes.
 
     The caller sees a single call returning a single decision within
     `timeout`; replicas that time out, refuse connections, or answer garbage
-    become deny votes, and so does a vote still running at the deadline.
-    Votes run on the long-lived wire.WORKERS threads. A long-lived caller
+    become deny votes, and so does a vote still out at the deadline. The
+    votes are one `wire.request_all` round: the request is encoded once and
+    written to every TCP replica from the calling thread, and the replies
+    are read in one poll loop, so a decide over TCP starts no thread; a
+    `local:` replica answers on a wire.WORKERS thread. A long-lived caller
     passes a connection pool; without one, each vote opens its own connection.
     """
     uri = parse_policy_uri(policy_uri) if isinstance(policy_uri, str) else policy_uri
     body = {"policy_id": uri.policy_id, "request": req.to_json()}
-
-    def ask(endpoint: str):
-        try:
-            reply = request(endpoint, "pdp.evaluate", body, timeout=timeout, pool=pool)
-            return PolicyVerdict.from_json(reply)
-        except Exception as exc:  # a reply that is not a verdict is a failed vote too
-            return ReplicaFailure(endpoint, failure_reason(exc))
-
-    futures = [WORKERS.submit(ask, endpoint) for endpoint in uri.endpoints]
-    wait(futures, timeout=timeout)
-    # a vote still running at the deadline is a timeout deny
-    entries = [
-        future.result() if future.done() else ReplicaFailure(endpoint, "timeout")
-        for endpoint, future in zip(uri.endpoints, futures)
-    ]
-
+    replies = request_all(uri.endpoints, "pdp.evaluate", body, timeout=timeout, pool=pool)
     return aggregate(
-        entries,
+        [_vote(endpoint, reply) for endpoint, reply in zip(uri.endpoints, replies)],
         ConsensusRule(uri.consensus, uri.threshold),
         len(uri.endpoints),
         now=req.now,
@@ -502,3 +490,12 @@ def decide(
         req=req,
         replica_keys=replica_keys,
     )
+
+
+def _vote(endpoint: str, reply) -> PolicyVerdict | ReplicaFailure:
+    if isinstance(reply, Exception):
+        return ReplicaFailure(endpoint, failure_reason(reply))
+    try:
+        return PolicyVerdict.from_json(reply)
+    except Exception as exc:  # a reply that is not a verdict is a failed vote too
+        return ReplicaFailure(endpoint, failure_reason(exc))

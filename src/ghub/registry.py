@@ -37,7 +37,7 @@ from .identity import (
     unb64,
     verify_signature,
 )
-from .wire import ConnectionPool, Dispatcher, ServiceError, request
+from .wire import ConnectionPool, Dispatcher, ServiceError, read_reply, request
 
 GENESIS_PREV_HASH = "0" * 64
 
@@ -585,27 +585,35 @@ class RegistryClient:
         if self._own_pool is not None:
             self._own_pool.close()
 
-    def _request(self, op: str, body: dict):
+    def _request(self, op: str, body: dict, read):
+        """`read` applied to the reply body; a reply it cannot read is a ProtocolError."""
         try:
-            return request(self.endpoint, op, body, timeout=self.timeout, pool=self._pool)
+            reply = request(self.endpoint, op, body, timeout=self.timeout, pool=self._pool)
         except ServiceError as exc:
             raise RegistryError(exc.code, exc.message) from exc
+        return read_reply(self.endpoint, reply, read)
 
     def resolve(self, did, now: int) -> ResolutionResult:
-        body = self._request("registry.resolve", {"did": as_did(did).render(), "now": now})
-        doc = body.get("document")
-        return ResolutionResult(
-            status=ResolutionStatus(body["status"]),
-            document=SignedDidDocument.from_json(doc) if doc else None,
-            as_of=int(body["as_of"]),
-        )
+        return self._request("registry.resolve", {"did": as_did(did).render(), "now": now}, _resolution)
 
     def submit(self, tx: RegistryTx) -> int:
-        return int(self._request("registry.submit", {"tx": tx.to_json()})["height"])
+        return self._request("registry.submit", {"tx": tx.to_json()}, lambda body: int(body["height"]))
 
     def verify_chain(self) -> bool:
-        return bool(self._request("registry.verify", {})["ok"])
+        return self._request("registry.verify", {}, lambda body: bool(body["ok"]))
 
     def history(self, did) -> list[tuple[int, RegistryTx]]:
-        body = self._request("registry.history", {"did": as_did(did).render()})
-        return [(int(e["height"]), RegistryTx.from_json(e["tx"])) for e in body["entries"]]
+        return self._request(
+            "registry.history",
+            {"did": as_did(did).render()},
+            lambda body: [(int(e["height"]), RegistryTx.from_json(e["tx"])) for e in body["entries"]],
+        )
+
+
+def _resolution(body: dict) -> ResolutionResult:
+    doc = body.get("document")
+    return ResolutionResult(
+        status=ResolutionStatus(body["status"]),
+        document=SignedDidDocument.from_json(doc) if doc else None,
+        as_of=int(body["as_of"]),
+    )

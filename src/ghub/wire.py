@@ -12,11 +12,13 @@ and caller and callee share no objects.
 A TCP call opens a connection and closes it after the reply, unless the
 caller passes a ConnectionPool: a long-lived caller of its own back ends
 (the hub) keeps one connection to each alive in one, and so does an owner's
-RegistryClient; a guest's HubClient does not. A WireServer is one accept
-thread; WORKERS, the process-wide long-lived threads, run a `local:` call's
-handler, the PDP votes, and each connection a WireServer accepts, for as
-long as it stays open; so a one-shot connection starts no thread when a
-worker is idle.
+RegistryClient; a guest's HubClient does not. `request_all` sends one
+request to several endpoints at once (the PDP votes): it writes every TCP
+request from the calling thread and reads the replies in one poll loop, so
+it starts no thread. A WireServer is one accept thread; WORKERS, the
+process-wide long-lived threads, run a `local:` call's handler and each
+connection a WireServer accepts, for as long as it stays open; so a
+one-shot connection starts no thread when a worker is idle.
 
 A call that gets no usable answer raises one of CALL_FAILURES, and
 `failure_reason` names it in the words the PDP, the hub and the CLI all
@@ -27,17 +29,21 @@ connection, a reply that does not decode, an endpoint that does not parse).
 
 from __future__ import annotations
 
+import errno
 import functools
+import itertools
+import os
 import queue
+import secrets
+import select
 import socket
 import sys
 import threading
 import time
 import traceback
-import uuid
 from concurrent.futures import Future, TimeoutError as FutureTimeout, wait as futures_wait
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence, TypeVar
 
 from .canonical import canonical_bytes, parse
 
@@ -71,6 +77,19 @@ class ServiceError(Exception):
 CALL_FAILURES = (ServiceError, OSError, WireError, ValueError)
 
 
+T = TypeVar("T")
+
+
+def read_reply(endpoint: str, body: Any, read: Callable[[Any], T]) -> T:
+    """`read(body)`, with a reply body that lacks a field `read` needs, or
+    holds one of the wrong type, raised as ProtocolError: so a client that
+    reads a reply still raises only CALL_FAILURES."""
+    try:
+        return read(body)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ProtocolError(f"malformed reply from {endpoint}: {type(exc).__name__}: {exc}") from exc
+
+
 def failure_reason(exc: BaseException) -> str:
     """The name of a failed call, as a vote, a hub error or the CLI reports it."""
     if isinstance(exc, ServiceError):
@@ -82,6 +101,12 @@ def failure_reason(exc: BaseException) -> str:
     return f"malformed:{type(exc).__name__}"
 
 
+# Correlation ids: the counter keeps them unique within the process (its
+# next() is atomic under the GIL), the random prefix across processes.
+_ID_PREFIX = secrets.token_hex(8)
+_next_id = itertools.count().__next__
+
+
 @dataclass(frozen=True, slots=True)
 class Envelope:
     id: str
@@ -91,7 +116,7 @@ class Envelope:
 
     @classmethod
     def request(cls, op: str, body: Any) -> "Envelope":
-        return cls(id=str(uuid.uuid4()), op=op, body=body)
+        return cls(id=f"{_ID_PREFIX}-{_next_id()}", op=op, body=body)
 
     def reply(self, body: Any) -> "Envelope":
         return Envelope(id=self.id, op=self.op, body=body)
@@ -244,9 +269,10 @@ class _Fanout:
                 task = inbox.get()  # a task was handed over as the wait ran out
 
 
-# The workers that run PDP votes, `local:` calls and the connections a
-# WireServer accepts. Idle as long as a call's default deadline, so steady
-# traffic keeps its workers and the extra threads of a burst are gone soon after it.
+# The workers that run `local:` calls (a `local:` PDP vote among them) and
+# the connections a WireServer accepts. Idle as long as a call's default
+# deadline, so steady traffic keeps its workers and the extra threads of a
+# burst are gone soon after it.
 WORKERS = _Fanout(idle_seconds=5.0)
 
 
@@ -273,19 +299,24 @@ def unregister_local(name: str) -> None:
         _local_endpoints.pop(name, None)
 
 
-def _local_call(name: str, envelope: Envelope, timeout: float) -> Envelope:
+def _local_submit(name: str, frame: bytes) -> Future:
+    """Hand a request frame to the named endpoint's handler on a worker."""
     with _local_lock:
         dispatcher = _local_endpoints.get(name)
     if dispatcher is None:
         raise ConnectionRefusedError(f"no local endpoint {name!r}")
-    future = WORKERS.submit(functools.partial(_answer, dispatcher), encode_frame(envelope))
+    return WORKERS.submit(functools.partial(_answer, dispatcher), frame)
+
+
+def _local_reply(name: str, answering: Future, timeout: float) -> Envelope:
+    """The reply `_local_submit`'s handler gives within `timeout`, decoded."""
     try:
-        error = future.exception(timeout)
+        error = answering.exception(timeout)
     except FutureTimeout:
         raise TimeoutError(f"local endpoint {name!r} did not answer within {timeout}s") from None
     if error is not None:
         raise ProtocolError(f"local endpoint {name!r} produced no response") from error
-    return decode_frame(future.result())
+    return decode_frame(answering.result())
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +428,18 @@ def _read_frame(sock: socket.socket, deadline: float) -> bytes:
             chunk = sock.recv(65536)
         except socket.timeout as exc:
             raise TimeoutError("timed out waiting for response frame") from exc
-        if not chunk:
-            raise ProtocolError("connection closed before a full frame arrived")
-        buf.extend(chunk)
-        if len(buf) > MAX_FRAME:
-            raise FrameTooLarge("response frame exceeds 1 MiB")
-        if buf.endswith(b"\n"):
-            return bytes(buf)
+        if (frame := _received(buf, chunk)) is not None:
+            return frame
+
+
+def _received(buf: bytearray, chunk: bytes) -> bytes | None:
+    """Add a chunk read from a socket to `buf`; the response frame once it is whole."""
+    if not chunk:
+        raise ProtocolError("connection closed before a full frame arrived")
+    buf += chunk
+    if len(buf) > MAX_FRAME:
+        raise FrameTooLarge("response frame exceeds 1 MiB")
+    return bytes(buf) if buf.endswith(b"\n") else None
 
 
 def _matched(envelope: Envelope, response: Envelope) -> Envelope:
@@ -505,7 +541,8 @@ def call(endpoint: str, envelope: Envelope, timeout: float = 5.0, pool: Connecti
     if timeout <= 0:
         raise ValueError("timeout must be positive")
     if endpoint.startswith(LOCAL_PREFIX):
-        return _matched(envelope, _local_call(endpoint[len(LOCAL_PREFIX):], envelope, timeout))
+        name = endpoint[len(LOCAL_PREFIX):]
+        return _matched(envelope, _local_reply(name, _local_submit(name, encode_frame(envelope)), timeout))
     address = _address(endpoint)
     deadline = time.monotonic() + timeout
     try:
@@ -521,10 +558,158 @@ def request(endpoint: str, op: str, body: Any, timeout: float = 5.0, pool: Conne
     """Convenience wrapper: fresh correlation id, error bodies raised as
     ServiceError, and an error body that is not an object as ProtocolError;
     so it raises only CALL_FAILURES."""
-    response = call(endpoint, Envelope.request(op, body), timeout=timeout, pool=pool)
+    return _reply_body(endpoint, call(endpoint, Envelope.request(op, body), timeout=timeout, pool=pool))
+
+
+def _reply_body(endpoint: str, response: Envelope) -> Any:
     if isinstance(response.body, dict) and "error" in response.body:
         err = response.body["error"]
         if not isinstance(err, dict):
             raise ProtocolError(f"error body from {endpoint} is not an object")
         raise ServiceError(str(err.get("code", "Unknown")), str(err.get("message", "")))
     return response.body
+
+
+def request_all(
+    endpoints: Sequence[str], op: str, body: Any, timeout: float = 5.0, pool: ConnectionPool | None = None
+) -> list:
+    """One request to every endpoint at once, all under one deadline.
+
+    Returns, for each endpoint in order, its reply body or the exception
+    `request` would have raised for it (one of CALL_FAILURES, or whatever
+    else decoding the reply raised). The frame is encoded once. A `local:`
+    endpoint's handler runs on WORKERS, as a `local:` call's does. Every TCP
+    request is written from the calling thread, on a pooled socket at once
+    or on a fresh one when its non-blocking connect completes, and the
+    replies are read in one poll loop; so a round of TCP endpoints starts no
+    thread. A reply still out at the deadline is a TimeoutError, and its
+    socket is closed, never pooled. The pool rules are `call`'s.
+    """
+    if timeout <= 0:
+        raise ValueError("timeout must be positive")
+    deadline = time.monotonic() + timeout
+    envelope = Envelope.request(op, body)
+    try:
+        frame = encode_frame(envelope)
+    except WireError as exc:
+        return [exc] * len(endpoints)
+    results: list = [None] * len(endpoints)  # a matched reply Envelope until the end, or the exception
+    answering: list[tuple[int, str, Future]] = []
+    poller = select.poll()
+    reading: dict[int, tuple[int, _Exchange]] = {}  # socket fd -> (endpoint index, its exchange)
+
+    def watch(i: int, exchange: _Exchange) -> None:
+        poller.register(exchange.sock, exchange.events())
+        reading[exchange.sock.fileno()] = (i, exchange)
+
+    for i, endpoint in enumerate(endpoints):
+        if endpoint.startswith(LOCAL_PREFIX):
+            name = endpoint[len(LOCAL_PREFIX):]
+            try:
+                answering.append((i, name, _local_submit(name, frame)))
+            except ConnectionRefusedError as exc:
+                results[i] = exc
+            continue
+        try:
+            watch(i, _Exchange(frame, _address(endpoint), pool))
+        except Exception as exc:  # as any failure below: it fails this endpoint's call, not the round
+            results[i] = exc
+
+    while reading and (remaining := deadline - time.monotonic()) > 0:
+        for fd, _ in poller.poll(remaining * 1000):
+            i, exchange = reading.pop(fd)
+            poller.unregister(fd)
+            try:
+                frame_in = exchange.step()
+                if frame_in is None:
+                    watch(i, exchange)
+                    continue
+                results[i] = _matched(envelope, decode_frame(frame_in))
+            except Exception as exc:  # a reply may make decoding raise anything, RecursionError too
+                exchange.close()
+                results[i] = exc
+                continue
+            if pool is None:
+                exchange.close()
+            else:
+                pool._checkin(exchange.address, exchange.sock)
+    for i, exchange in reading.values():
+        exchange.close()
+        results[i] = TimeoutError(f"no response from {endpoints[i]} within {timeout}s")
+
+    for i, name, answer in answering:
+        try:
+            results[i] = _matched(envelope, _local_reply(name, answer, max(0.0, deadline - time.monotonic())))
+        except Exception as exc:
+            results[i] = exc
+    for i, outcome in enumerate(results):
+        if isinstance(outcome, Envelope):
+            try:
+                results[i] = _reply_body(endpoints[i], outcome)
+            except CALL_FAILURES as exc:
+                results[i] = exc
+    return results
+
+
+class _Exchange:
+    """One TCP request of a `request_all` round: a pooled socket or a
+    non-blocking connect, then the request written and one frame read, each
+    step taken when poll says the socket is ready for it."""
+
+    __slots__ = ("address", "sock", "connected", "candidates", "out", "buf")
+
+    def __init__(self, frame: bytes, address: tuple[str, int], pool: ConnectionPool | None):
+        self.address = address
+        self.out = memoryview(frame)
+        self.buf = bytearray()
+        self.sock: socket.socket | None = pool._checkout(address) if pool is not None else None
+        self.connected = self.sock is not None
+        self.candidates: list = []
+        try:
+            if self.connected:
+                self.step()  # the request goes out at once
+            else:
+                # as socket.create_connection does: each address getaddrinfo gives, in turn
+                self.candidates = socket.getaddrinfo(*address, 0, socket.SOCK_STREAM)
+                self._connect(OSError("getaddrinfo returns an empty list"))
+        except BaseException:
+            self.close()
+            raise
+
+    def _connect(self, error: OSError) -> None:
+        while self.candidates:
+            family, kind, proto, _, sockaddr = self.candidates.pop(0)
+            self.sock = socket.socket(family, kind, proto)
+            self.sock.setblocking(False)
+            code = self.sock.connect_ex(sockaddr)
+            if code in (0, errno.EINPROGRESS):
+                return
+            self.close()
+            error = OSError(code, os.strerror(code))  # ConnectionRefusedError for ECONNREFUSED
+        raise error
+
+    def events(self) -> int:
+        return select.POLLOUT if self.out else select.POLLIN  # a connect pending has all of `out` left
+
+    def step(self) -> bytes | None:
+        """Take the step the socket is ready for; the reply frame once it is whole."""
+        if not self.connected:
+            code = self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            if code:
+                self.close()
+                self._connect(OSError(code, os.strerror(code)))
+                return None
+            self.connected = True
+        try:
+            if self.out:
+                self.out = self.out[self.sock.send(self.out):]
+                return None
+            chunk = self.sock.recv(65536)
+        except BlockingIOError:  # a wake-up with nothing to do after all
+            return None
+        return _received(self.buf, chunk)
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None

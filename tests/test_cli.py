@@ -13,7 +13,7 @@ from ghub.gateway import Gateway, serve_gateway
 from ghub.hub import GatewayLink, Hub, HubConfig, serve_hub
 from ghub.identity import b64, load_keypair
 from ghub.registry import MemberId, Registry, RegistryClient, registry_dispatcher
-from ghub.wire import WireServer
+from ghub.wire import Dispatcher, WireServer
 from helpers import NOW, seeded_keypair
 
 ZERO_KEY_DID = "did:ghub:7tkzFg8RHBmMw1ncRJZCCZAizgq4rwCftTKYLce8RU8t"
@@ -484,6 +484,18 @@ class TestRemoteFailures:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("failed at auth.begin: endpoint must be host:port") and "Traceback" not in err
+
+    def test_guest_access_to_a_hub_that_answers_without_fields(self, guest_key_files, capsys):
+        guest_seed, _, _ = guest_key_files
+        with WireServer(Dispatcher({"hub.auth.begin": lambda body: {}})) as hub:
+            code = run_cli(
+                "guest-access", "--key", guest_seed, "--hub", hub.endpoint,
+                "--resource", "iot:hue/light1", "--action", "read", "--now", str(NOW),
+            )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"failed at auth.begin: malformed reply from {hub.endpoint}: KeyError")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_resolve_from_a_registry_that_drops_the_connection(self, capsys):
         listener = socket.create_server(("127.0.0.1", 0))

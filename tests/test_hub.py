@@ -606,6 +606,37 @@ class TestRegistryFailure:
                 hub.close()
                 registry_server.stop()
 
+    def test_a_reply_without_its_fields_is_registry_unavailable(self):
+        with build_simple_world() as world:
+            honest = registry_dispatcher(world.registry)
+            broken = threading.Event()
+
+            class Registry:
+                """Answers honestly until broken, then {} to every op."""
+
+                def handle(self, envelope):
+                    return envelope.reply({}) if broken.is_set() else honest.handle(envelope)
+
+            name, endpoint = unique_local(Registry(), "registry")
+            hub = Hub(replace(world.hub.config, registry_endpoint=endpoint))
+            try:
+                challenge = hub.begin_auth(world.guest_did, NOW)
+                session = hub.complete_auth(world.guest_did, respond_to_challenge(challenge, world.guest), NOW)
+                broken.set()
+                with pytest.raises(HubError) as err:
+                    hub.access(session, "iot:hue/light1", "read", None, NOW)
+                assert (err.value.code, err.value.message) == (
+                    "Denied",
+                    "re-resolve failed: RegistryUnavailable: malformed:ProtocolError",
+                )
+                with pytest.raises(HubError) as err:
+                    hub.begin_auth(world.guest_did, NOW)
+                assert (err.value.code, err.value.message) == ("RegistryUnavailable", "malformed:ProtocolError")
+                assert world.gateway.call_log == []
+            finally:
+                unregister_local(name)
+                hub.close()
+
     def test_a_hung_registry_is_bounded_by_pdp_timeout(self):
         release = threading.Event()
         name, endpoint = unique_local(Dispatcher({"registry.resolve": lambda body: release.wait(5)}), "hung-registry")

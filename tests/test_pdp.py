@@ -1,4 +1,6 @@
+import contextlib
 import random
+import socket
 import sys
 import threading
 import time
@@ -23,7 +25,20 @@ from ghub.pdp import (
     serve_replica,
     verify_verdict,
 )
-from ghub.wire import ConnectionPool, Dispatcher, ServiceError, WireServer, _Fanout, request, unregister_local
+from ghub.wire import (
+    MAX_FRAME,
+    WORKERS,
+    ConnectionPool,
+    Dispatcher,
+    Envelope,
+    ServiceError,
+    WireServer,
+    _Fanout,
+    decode_frame,
+    encode_frame,
+    request,
+    unregister_local,
+)
 from helpers import (
     NOW,
     LyingReplica,
@@ -507,6 +522,213 @@ class TestLongLivedFanout:
             pool.close()
             for server in servers:
                 server.stop()
+
+
+def meeting_replicas(n: int, barrier: threading.Barrier) -> tuple[list[WireServer], dict]:
+    """n honest TCP replicas, each of which answers only once every one of them holds a request."""
+    servers, keys = [], {}
+    for i in range(n):
+        replica = PdpReplica(f"r{i}", seeded_keypair(90 + i), {"p": allow_all_rule("p", ttl=300)})
+
+        def evaluate_after_all(body, replica=replica):
+            barrier.wait()
+            return replica.evaluate_policy(body["policy_id"], PolicyRequest.from_json(body["request"])).to_json()
+
+        servers.append(WireServer(Dispatcher({"pdp.evaluate": evaluate_after_all})).start())
+        keys[replica.replica_id] = replica.key.public_key
+    return servers, keys
+
+
+def count_from_this_thread(monkeypatch) -> tuple[list, list]:
+    """Thread starts and WORKERS tasks made by the calling thread from here on."""
+    me = threading.get_ident()
+    started, submitted = [], []
+    start, submit = threading.Thread.start, _Fanout.submit
+
+    def counted_start(thread):
+        if threading.get_ident() == me:
+            started.append(thread.name)
+        start(thread)
+
+    def counted_submit(fanout, fn, arg):
+        if fanout is WORKERS and threading.get_ident() == me:
+            submitted.append(arg)
+        return submit(fanout, fn, arg)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(_Fanout, "submit", counted_submit)
+    return started, submitted
+
+
+@contextlib.contextmanager
+def raw_endpoint(answer):
+    """A TCP endpoint that reads one request line per connection and writes
+    answer(line) back, then closes; an answer of None holds the connection
+    open, unanswered, until the endpoint closes."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    closing = threading.Event()
+
+    def serve():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return  # the listener was shut down
+            try:
+                with conn, conn.makefile("rb") as lines:
+                    reply = answer(lines.readline())
+                    if reply is None:
+                        closing.wait(5)
+                    else:
+                        conn.sendall(reply)
+            except OSError:
+                pass  # the caller gave up on the reply
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    try:
+        yield "127.0.0.1:%d" % listener.getsockname()[1]
+    finally:
+        closing.set()
+        listener.shutdown(socket.SHUT_RDWR)
+        server.join(timeout=5)
+        listener.close()
+
+
+def replying(body):
+    return lambda line: encode_frame(decode_frame(line).reply(body))
+
+
+def closed_port_endpoint() -> str:
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return f"127.0.0.1:{port}"
+
+
+class TestOneRound:
+    """A decide's votes are one wire round: every TCP request is written from
+    the deciding thread and the replies are read together."""
+
+    def test_tcp_votes_go_out_together_from_the_deciding_thread(self, monkeypatch):
+        servers, keys = meeting_replicas(2, threading.Barrier(2, timeout=2))
+        uri = f"pdp://{','.join(s.endpoint for s in servers)}/p?consensus=unanimous"
+        try:
+            started, _ = count_from_this_thread(monkeypatch)
+            decision = decide(uri, req(), keys, timeout=3)
+        finally:
+            for server in servers:
+                server.stop()
+        # either replica alone would wait out its barrier and answer an error
+        assert decision.granted and decision.detail == "unanimous: 2/2 grant (r0:grant, r1:grant)"
+        assert started == []
+
+    def test_a_decide_over_tcp_hands_no_vote_to_a_worker(self, monkeypatch):
+        rule = allow_all_rule("p", ttl=300)
+        replicas = [PdpReplica(f"r{i}", seeded_keypair(60 + i), {"p": rule}) for i in range(3)]
+        servers = [serve_replica(r) for r in replicas]
+        keys = {r.replica_id: r.key.public_key for r in replicas}
+        uri = f"pdp://{','.join(s.endpoint for s in servers)}/p?consensus=majority"
+        pool = ConnectionPool()
+        try:
+            started, submitted = count_from_this_thread(monkeypatch)
+            assert decide(uri, req(), keys, timeout=2).granted
+            assert decide(uri, req(), keys, timeout=2, pool=pool).granted
+        finally:
+            pool.close()
+            for server in servers:
+                server.stop()
+        assert submitted == [] and started == []
+
+    @pytest.mark.parametrize(
+        "answer, reason, kept",
+        [
+            (None, "timeout", False),
+            (lambda line: b"", "malformed:ProtocolError", False),  # dropped before a reply
+            (lambda line: b"not json\n", "malformed:ProtocolError", False),
+            (replying({"error": {"code": "Busy", "message": "later"}}), "error:Busy", True),
+            (replying({"error": "boom"}), "malformed:ProtocolError", True),
+            (lambda line: b"x" * (MAX_FRAME + 1), "malformed:FrameTooLarge", False),
+            (lambda line: encode_frame(Envelope(id="wrong", op="pdp.evaluate", body={})), "malformed:ProtocolError", False),
+            (replying({"granted": True}), "malformed:KeyError", True),  # not a verdict
+        ],
+        ids=["hung", "dropped", "garbage", "error-body", "non-object-error", "oversize", "wrong-id", "not-a-verdict"],
+    )
+    def test_each_failed_tcp_vote_is_a_deny_naming_its_reason(self, answer, reason, kept):
+        pool = ConnectionPool()
+        try:
+            with raw_endpoint((lambda line: None) if answer is None else answer) as endpoint:
+                started = time.monotonic()
+                decision = decide(f"pdp://{endpoint}/p", req(), {}, timeout=0.5, pool=pool)
+            assert not decision.granted
+            assert decision.detail == f"majority: 0/1 grant ({endpoint}:{reason})"
+            assert time.monotonic() - started < 2
+            # a socket is kept only after a reply that decoded and matched its request
+            assert len(pool._idle) == kept
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize(
+        "endpoint, reason",
+        [(closed_port_endpoint(), "unreachable"), ("nohost", "malformed:ValueError")],
+        ids=["refused", "unparsable"],
+    )
+    def test_an_endpoint_without_a_server_is_a_deny_naming_its_reason(self, endpoint, reason):
+        decision = decide(f"pdp://{endpoint}/p", req(), {}, timeout=0.5)
+        assert decision.detail == f"majority: 0/1 grant ({endpoint}:{reason})"
+
+    def test_pooled_decides_keep_one_connection_per_replica(self):
+        rule = allow_all_rule("p", ttl=300)
+        replicas = [PdpReplica(f"r{i}", seeded_keypair(60 + i), {"p": rule}) for i in range(3)]
+        connections = set()
+        late = threading.Event()
+
+        def serving(replica):
+            def evaluate(body):
+                connections.add(threading.current_thread().name)  # "ghub-conn <peer>" while a connection is served
+                if replica.replica_id == "r2" and not late.is_set():
+                    late.set()
+                    time.sleep(0.5)  # answers its first request after the deadline
+                return replica.evaluate_policy(body["policy_id"], PolicyRequest.from_json(body["request"])).to_json()
+
+            return WireServer(Dispatcher({"pdp.evaluate": evaluate})).start()
+
+        servers = [serving(r) for r in replicas]
+        keys = {r.replica_id: r.key.public_key for r in replicas}
+        uri = f"pdp://{','.join(s.endpoint for s in servers)}/p?consensus=unanimous"
+        pool = ConnectionPool()
+        try:
+            first = decide(uri, req(), keys, timeout=0.2, pool=pool)
+            assert first.detail == f"unanimous: 2/3 grant (r0:grant, r1:grant, {servers[2].endpoint}:timeout)"
+            time.sleep(0.5)  # the late reply is on the timed-out socket by now
+            # read on that socket, it would be taken for the next request's reply
+            for now in range(NOW, NOW + 10):
+                decision = decide(uri, req(now=now), keys, timeout=2, pool=pool)
+                assert decision.detail == "unanimous: 3/3 grant (r0:grant, r1:grant, r2:grant)"
+        finally:
+            pool.close()
+            for server in servers:
+                server.stop()
+        # one connection per replica for all eleven decides, and a fresh one after the timeout
+        assert len(connections) == 4
+
+    def test_a_policy_may_mix_local_and_tcp_replicas(self, monkeypatch):
+        rule = allow_all_rule("p", ttl=300)
+        _, names, endpoints, keys = make_replicas(1, rule)
+        tcp = [PdpReplica(f"t{i}", seeded_keypair(95 + i), {"p": rule}) for i in range(2)]
+        servers = [serve_replica(r) for r in tcp]
+        keys.update({r.replica_id: r.key.public_key for r in tcp})
+        uri = f"pdp://{servers[0].endpoint},{endpoints[0]},{servers[1].endpoint}/p?consensus=unanimous"
+        try:
+            _, submitted = count_from_this_thread(monkeypatch)
+            decision = decide(uri, req(), keys, timeout=2)
+        finally:
+            unregister_local(names[0])
+            for server in servers:
+                server.stop()
+        assert decision.granted and decision.detail == "unanimous: 3/3 grant (t0:grant, r0:grant, t1:grant)"
+        assert len(submitted) == 1  # only the local: replica answers on a worker
 
 
 class TestOneVotePerReplica:

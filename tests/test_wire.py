@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import socket
+import sys
 import threading
 import time
 from pathlib import Path
@@ -32,6 +33,7 @@ from ghub.wire import (
     failure_reason,
     register_local,
     request,
+    request_all,
     unregister_local,
 )
 from helpers import NOW, allow_all_rule, make_replicas, unique_local
@@ -87,6 +89,26 @@ class TestFraming:
             decode_frames(blob)
         except WireError:
             pass  # errors are the contract; anything else is a bug
+
+
+def test_request_ids_are_unique_across_threads():
+    made = [[] for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+
+    def make(out):
+        out.extend(Envelope.request("echo", {}).id for _ in range(5000))
+
+    try:
+        threads = [threading.Thread(target=make, args=(out,)) for out in made]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [len(out) for out in made] == [5000] * 4
+    assert len({id_ for out in made for id_ in out}) == 20000
 
 
 class TestDispatcher:
@@ -450,6 +472,25 @@ class TestServerWorkers:
 def thread_name(_body):
     # a server runs each connection on its own thread, so the name tells connections apart
     return threading.current_thread().name
+
+
+class TestRequestAll:
+    def test_a_fresh_connection_tries_each_address_in_turn(self, monkeypatch):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        closed_port = probe.getsockname()[1]
+        probe.close()
+        lookup = socket.getaddrinfo
+
+        def refused_first(host, port, *args):
+            # as a name with two addresses whose first refuses would resolve
+            return lookup("127.0.0.1", closed_port, *args) + lookup(host, port, *args)
+
+        with WireServer(echo_dispatcher()) as server:
+            monkeypatch.setattr(socket, "getaddrinfo", refused_first)
+            replies = request_all([server.endpoint, f"127.0.0.1:{closed_port}"], "echo", {"n": 1}, timeout=2)
+        assert replies[0] == {"n": 1}
+        assert isinstance(replies[1], ConnectionRefusedError)
 
 
 class TestConnectionPool:

@@ -26,6 +26,17 @@ from .registry import KIND_CREATE, KIND_REVOKE, Registry, RegistryClient, signed
 from .wire import read_reply, request
 
 
+def _access_reply(reply) -> dict:
+    """The hub's access reply: an object whose `decision` and `gateway`, the
+    fields a caller reads, are objects where present."""
+    if not isinstance(reply, dict):
+        raise TypeError(f"reply is a {type(reply).__name__}, not an object")
+    for name in ("decision", "gateway"):
+        if not isinstance(reply.get(name, {}), dict):
+            raise TypeError(f"{name} is a {type(reply[name]).__name__}, not an object")
+    return reply
+
+
 def next_seq() -> int:
     """Replay-protection counter for one-shot submitters: strictly increasing
     per wall clock, independent of any virtual clock in play."""
@@ -117,7 +128,8 @@ class HubClient:
             body["context"] = context
         if now is not None:
             body["now"] = now
-        return request(self.endpoint, "hub.access", body, timeout=self.timeout)
+        reply = request(self.endpoint, "hub.access", body, timeout=self.timeout)
+        return read_reply(self.endpoint, reply, _access_reply)
 
     def authenticate(self, guest_key: Keypair, now: int | None = None) -> str:
         """The full two-step handshake; returns a session id."""

@@ -9,13 +9,14 @@ Both transports answer through `_answer`, so a `local:` call is a TCP call
 minus the socket: request and reply are encoded, size-checked and decoded,
 and caller and callee share no objects.
 
-A TCP call opens a connection and closes it after the reply, unless the
-caller passes a ConnectionPool: a long-lived caller of its own back ends
-(the hub) keeps one connection to each alive in one, and so does an owner's
-RegistryClient; a guest's HubClient does not. `request_all` sends one
-request to several endpoints at once (the PDP votes): it writes every TCP
-request from the calling thread and reads the replies in one poll loop, so
-it starts no thread. A WireServer is one accept thread; WORKERS, the
+Every client call is one round: `call` and `request` are a round of one
+endpoint, and `request_all` sends one request to several at once (the PDP
+votes). A round writes every TCP request from the calling thread and reads
+the replies in one poll loop, so it starts no thread. A TCP call opens a
+connection and closes it after the reply, unless the caller passes a
+ConnectionPool: a long-lived caller of its own back ends (the hub) keeps one
+connection to each alive in one, and so does an owner's RegistryClient; a
+guest's HubClient does not. A WireServer is one accept thread; WORKERS, the
 process-wide long-lived threads, run a `local:` call's handler and each
 connection a WireServer accepts, for as long as it stays open; so a
 one-shot connection starts no thread when a worker is idle.
@@ -299,26 +300,6 @@ def unregister_local(name: str) -> None:
         _local_endpoints.pop(name, None)
 
 
-def _local_submit(name: str, frame: bytes) -> Future:
-    """Hand a request frame to the named endpoint's handler on a worker."""
-    with _local_lock:
-        dispatcher = _local_endpoints.get(name)
-    if dispatcher is None:
-        raise ConnectionRefusedError(f"no local endpoint {name!r}")
-    return WORKERS.submit(functools.partial(_answer, dispatcher), frame)
-
-
-def _local_reply(name: str, answering: Future, timeout: float) -> Envelope:
-    """The reply `_local_submit`'s handler gives within `timeout`, decoded."""
-    try:
-        error = answering.exception(timeout)
-    except FutureTimeout:
-        raise TimeoutError(f"local endpoint {name!r} did not answer within {timeout}s") from None
-    if error is not None:
-        raise ProtocolError(f"local endpoint {name!r} produced no response") from error
-    return decode_frame(answering.result())
-
-
 # ---------------------------------------------------------------------------
 # TCP transport
 
@@ -413,25 +394,6 @@ class WireServer:
         self.stop()
 
 
-def _remaining(deadline: float) -> float:
-    remaining = deadline - time.monotonic()
-    if remaining <= 0:
-        raise TimeoutError("timed out waiting for response frame")
-    return remaining
-
-
-def _read_frame(sock: socket.socket, deadline: float) -> bytes:
-    buf = bytearray()
-    while True:
-        sock.settimeout(_remaining(deadline))
-        try:
-            chunk = sock.recv(65536)
-        except socket.timeout as exc:
-            raise TimeoutError("timed out waiting for response frame") from exc
-        if (frame := _received(buf, chunk)) is not None:
-            return frame
-
-
 def _received(buf: bytearray, chunk: bytes) -> bytes | None:
     """Add a chunk read from a socket to `buf`; the response frame once it is whole."""
     if not chunk:
@@ -446,14 +408,6 @@ def _matched(envelope: Envelope, response: Envelope) -> Envelope:
     if response.id != envelope.id:
         raise ProtocolError(f"response id {response.id!r} does not match request {envelope.id!r}")
     return response
-
-
-def _exchange(sock: socket.socket, envelope: Envelope, deadline: float) -> Envelope:
-    """Send one request on a connected socket and read its correlated response."""
-    frame = encode_frame(envelope)
-    sock.settimeout(_remaining(deadline))
-    sock.sendall(frame)
-    return _matched(envelope, decode_frame(_read_frame(sock, deadline)))
 
 
 def _address(endpoint: str) -> tuple[str, int]:
@@ -479,18 +433,6 @@ class ConnectionPool:
         self._idle: dict[tuple[str, int], socket.socket] = {}
         self._closed = False
         self._lock = threading.Lock()
-
-    def call(self, address: tuple[str, int], envelope: Envelope, deadline: float) -> Envelope:
-        sock = self._checkout(address)
-        if sock is None:
-            sock = socket.create_connection(address, timeout=_remaining(deadline))
-        try:
-            response = _exchange(sock, envelope, deadline)
-        except BaseException:
-            sock.close()
-            raise
-        self._checkin(address, sock)
-        return response
 
     def _checkout(self, address: tuple[str, int]) -> socket.socket | None:
         with self._lock:
@@ -529,35 +471,24 @@ def _quiet(sock: socket.socket) -> bool:
 
 
 def call(endpoint: str, envelope: Envelope, timeout: float = 5.0, pool: ConnectionPool | None = None) -> Envelope:
-    """Send one envelope and return the correlated response.
-
-    Raises one of CALL_FAILURES: TimeoutError, ConnectionRefusedError or
-    another OSError, a WireError (id mismatch, malformed response), or a
-    ValueError for an endpoint that does not parse. Endpoints are
-    "host:port" or "local:name".
-    Without a pool, a TCP call opens a connection and closes it after the
-    reply; with one, it borrows a kept-alive connection to the endpoint.
+    """Send one envelope to "host:port" or "local:name" and return the
+    correlated response. A call that gets no usable answer raises one of
+    CALL_FAILURES: TimeoutError, ConnectionRefusedError or another OSError, a
+    WireError (id mismatch, malformed response), or a ValueError for an
+    endpoint that does not parse. Without a pool, a TCP call opens a
+    connection and closes it after the reply; with one, it borrows a
+    kept-alive connection to the endpoint. It is a round of one endpoint.
     """
-    if timeout <= 0:
-        raise ValueError("timeout must be positive")
-    if endpoint.startswith(LOCAL_PREFIX):
-        name = endpoint[len(LOCAL_PREFIX):]
-        return _matched(envelope, _local_reply(name, _local_submit(name, encode_frame(envelope)), timeout))
-    address = _address(endpoint)
-    deadline = time.monotonic() + timeout
-    try:
-        if pool is not None:
-            return pool.call(address, envelope, deadline)
-        with socket.create_connection(address, timeout=timeout) as sock:
-            return _exchange(sock, envelope, deadline)
-    except socket.timeout as exc:
-        raise TimeoutError(f"no response from {endpoint} within {timeout}s") from exc
+    outcome = _round((endpoint,), envelope, timeout, pool)[0]
+    if isinstance(outcome, Envelope):
+        return outcome
+    raise outcome
 
 
 def request(endpoint: str, op: str, body: Any, timeout: float = 5.0, pool: ConnectionPool | None = None) -> Any:
-    """Convenience wrapper: fresh correlation id, error bodies raised as
-    ServiceError, and an error body that is not an object as ProtocolError;
-    so it raises only CALL_FAILURES."""
+    """`call` with a fresh correlation id, returning the reply body: an error
+    body is raised as ServiceError, and one that is not an object as
+    ProtocolError."""
     return _reply_body(endpoint, call(endpoint, Envelope.request(op, body), timeout=timeout, pool=pool))
 
 
@@ -573,75 +504,10 @@ def _reply_body(endpoint: str, response: Envelope) -> Any:
 def request_all(
     endpoints: Sequence[str], op: str, body: Any, timeout: float = 5.0, pool: ConnectionPool | None = None
 ) -> list:
-    """One request to every endpoint at once, all under one deadline.
-
-    Returns, for each endpoint in order, its reply body or the exception
-    `request` would have raised for it (one of CALL_FAILURES, or whatever
-    else decoding the reply raised). The frame is encoded once. A `local:`
-    endpoint's handler runs on WORKERS, as a `local:` call's does. Every TCP
-    request is written from the calling thread, on a pooled socket at once
-    or on a fresh one when its non-blocking connect completes, and the
-    replies are read in one poll loop; so a round of TCP endpoints starts no
-    thread. A reply still out at the deadline is a TimeoutError, and its
-    socket is closed, never pooled. The pool rules are `call`'s.
-    """
-    if timeout <= 0:
-        raise ValueError("timeout must be positive")
-    deadline = time.monotonic() + timeout
-    envelope = Envelope.request(op, body)
-    try:
-        frame = encode_frame(envelope)
-    except WireError as exc:
-        return [exc] * len(endpoints)
-    results: list = [None] * len(endpoints)  # a matched reply Envelope until the end, or the exception
-    answering: list[tuple[int, str, Future]] = []
-    poller = select.poll()
-    reading: dict[int, tuple[int, _Exchange]] = {}  # socket fd -> (endpoint index, its exchange)
-
-    def watch(i: int, exchange: _Exchange) -> None:
-        poller.register(exchange.sock, exchange.events())
-        reading[exchange.sock.fileno()] = (i, exchange)
-
-    for i, endpoint in enumerate(endpoints):
-        if endpoint.startswith(LOCAL_PREFIX):
-            name = endpoint[len(LOCAL_PREFIX):]
-            try:
-                answering.append((i, name, _local_submit(name, frame)))
-            except ConnectionRefusedError as exc:
-                results[i] = exc
-            continue
-        try:
-            watch(i, _Exchange(frame, _address(endpoint), pool))
-        except Exception as exc:  # as any failure below: it fails this endpoint's call, not the round
-            results[i] = exc
-
-    while reading and (remaining := deadline - time.monotonic()) > 0:
-        for fd, _ in poller.poll(remaining * 1000):
-            i, exchange = reading.pop(fd)
-            poller.unregister(fd)
-            try:
-                frame_in = exchange.step()
-                if frame_in is None:
-                    watch(i, exchange)
-                    continue
-                results[i] = _matched(envelope, decode_frame(frame_in))
-            except Exception as exc:  # a reply may make decoding raise anything, RecursionError too
-                exchange.close()
-                results[i] = exc
-                continue
-            if pool is None:
-                exchange.close()
-            else:
-                pool._checkin(exchange.address, exchange.sock)
-    for i, exchange in reading.values():
-        exchange.close()
-        results[i] = TimeoutError(f"no response from {endpoints[i]} within {timeout}s")
-
-    for i, name, answer in answering:
-        try:
-            results[i] = _matched(envelope, _local_reply(name, answer, max(0.0, deadline - time.monotonic())))
-        except Exception as exc:
-            results[i] = exc
+    """One request to every endpoint at once, all under one deadline: for
+    each endpoint in order, its reply body or the exception `request` would
+    have raised for it."""
+    results = _round(endpoints, Envelope.request(op, body), timeout, pool)
     for i, outcome in enumerate(results):
         if isinstance(outcome, Envelope):
             try:
@@ -651,16 +517,99 @@ def request_all(
     return results
 
 
+def _round(endpoints: Sequence[str], envelope: Envelope, timeout: float, pool: ConnectionPool | None) -> list:
+    """Send `envelope` to every endpoint at once; for each endpoint in order,
+    its matched reply Envelope or the exception its call raises (one of
+    CALL_FAILURES, or whatever else decoding the reply raised).
+
+    The frame is encoded once. A `local:` endpoint's handler runs on WORKERS.
+    Every TCP request is written from the calling thread, on a pooled socket
+    at once or on a fresh one when its non-blocking connect completes, and
+    the replies are read in one poll loop; so TCP starts no thread. A socket
+    is pooled only after a reply that decoded and matched its request; one
+    that saw an error or the deadline is closed, and so is every socket
+    still open when the round raises (KeyboardInterrupt too).
+    """
+    if timeout <= 0:
+        raise ValueError("timeout must be positive")
+    deadline = time.monotonic() + timeout
+    try:
+        frame = encode_frame(envelope)
+    except WireError as exc:
+        return [exc] * len(endpoints)
+    results: list = [None] * len(endpoints)
+    answering: list[tuple[int, str, Future]] = []  # (endpoint index, local name, its handler's future)
+    reading: dict[int, tuple[int, _Exchange]] = {}  # socket fd -> (endpoint index, its exchange)
+    poller = select.poll()
+    try:
+        for i, endpoint in enumerate(endpoints):
+            if endpoint.startswith(LOCAL_PREFIX):
+                name = endpoint[len(LOCAL_PREFIX):]
+                with _local_lock:
+                    dispatcher = _local_endpoints.get(name)
+                if dispatcher is None:
+                    results[i] = ConnectionRefusedError(f"no local endpoint {name!r}")
+                else:
+                    answering.append((i, name, WORKERS.submit(functools.partial(_answer, dispatcher), frame)))
+                continue
+            try:
+                exchange = _Exchange(frame, _address(endpoint), pool)
+            except Exception as exc:  # as any failure below: it fails this endpoint's call, not the round
+                results[i] = exc
+                continue
+            fd = exchange.sock.fileno()
+            reading[fd] = (i, exchange)
+            poller.register(fd, exchange.events())
+
+        while reading and (remaining := deadline - time.monotonic()) > 0:
+            for fd, _ in poller.poll(remaining * 1000):
+                i, exchange = reading[fd]
+                try:
+                    frame_in = exchange.step()
+                    if frame_in is None:
+                        if (moved := exchange.sock.fileno()) != fd:  # a refused connect went on to the next address
+                            poller.unregister(fd)
+                            reading[moved] = reading.pop(fd)
+                        poller.register(moved, exchange.events())
+                        continue
+                    results[i] = _matched(envelope, decode_frame(frame_in))
+                except Exception as exc:  # a reply may make decoding raise anything, RecursionError too
+                    results[i] = exc
+                del reading[fd]  # before the socket is pooled, so the finally below cannot close it
+                poller.unregister(fd)
+                if pool is None or not isinstance(results[i], Envelope):
+                    exchange.close()
+                else:
+                    pool._checkin(exchange.address, exchange.sock)
+        for i, _ in reading.values():
+            results[i] = TimeoutError(f"no response from {endpoints[i]} within {timeout}s")
+    finally:
+        for _, exchange in reading.values():
+            exchange.close()
+
+    for i, name, answer in answering:
+        try:
+            error = answer.exception(max(0.0, deadline - time.monotonic()))
+            if error is not None:
+                raise ProtocolError(f"local endpoint {name!r} produced no response") from error
+            results[i] = _matched(envelope, decode_frame(answer.result()))
+        except FutureTimeout:
+            results[i] = TimeoutError(f"local endpoint {name!r} did not answer within {timeout}s")
+        except Exception as exc:
+            results[i] = exc
+    return results
+
+
 class _Exchange:
-    """One TCP request of a `request_all` round: a pooled socket or a
-    non-blocking connect, then the request written and one frame read, each
-    step taken when poll says the socket is ready for it."""
+    """One TCP request of a round: a pooled socket or a non-blocking connect,
+    then the request written and one frame read, each step taken when poll
+    says the socket is ready for it."""
 
     __slots__ = ("address", "sock", "connected", "candidates", "out", "buf")
 
     def __init__(self, frame: bytes, address: tuple[str, int], pool: ConnectionPool | None):
         self.address = address
-        self.out = memoryview(frame)
+        self.out = frame
         self.buf = bytearray()
         self.sock: socket.socket | None = pool._checkout(address) if pool is not None else None
         self.connected = self.sock is not None
@@ -669,7 +618,7 @@ class _Exchange:
             if self.connected:
                 self.step()  # the request goes out at once
             else:
-                # as socket.create_connection does: each address getaddrinfo gives, in turn
+                # each address getaddrinfo gives, in turn, until one connects
                 self.candidates = socket.getaddrinfo(*address, 0, socket.SOCK_STREAM)
                 self._connect(OSError("getaddrinfo returns an empty list"))
         except BaseException:
@@ -702,7 +651,9 @@ class _Exchange:
             self.connected = True
         try:
             if self.out:
-                self.out = self.out[self.sock.send(self.out):]
+                sent = self.sock.send(self.out)
+                # a view only of what a partial send left: a whole send, the usual case, copies nothing
+                self.out = memoryview(self.out)[sent:] if sent < len(self.out) else b""
                 return None
             chunk = self.sock.recv(65536)
         except BlockingIOError:  # a wake-up with nothing to do after all

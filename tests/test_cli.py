@@ -497,6 +497,31 @@ class TestRemoteFailures:
         assert err.startswith(f"failed at auth.begin: malformed reply from {hub.endpoint}: KeyError")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "access_reply",
+        [[], {"granted": True, "decision": []}, {"granted": True, "gateway": "x"}],
+        ids=["list", "decision-list", "gateway-string"],
+    )
+    def test_guest_access_to_a_hub_that_answers_access_with_a_malformed_body(
+        self, guest_key_files, capsys, access_reply
+    ):
+        guest_seed, _, _ = guest_key_files
+        challenge = {"nonce": b64(bytes(32)), "issued_at": NOW, "hub_id": "hub"}
+        handlers = {
+            "hub.auth.begin": lambda body: {"challenge": challenge},
+            "hub.auth.complete": lambda body: {"session_id": "s"},
+            "hub.access": lambda body: access_reply,
+        }
+        with WireServer(Dispatcher(handlers)) as hub:
+            code = run_cli(
+                "guest-access", "--key", guest_seed, "--hub", hub.endpoint,
+                "--resource", "iot:hue/light1", "--action", "read", "--now", str(NOW),
+            )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"failed at access: malformed reply from {hub.endpoint}: TypeError")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_resolve_from_a_registry_that_drops_the_connection(self, capsys):
         listener = socket.create_server(("127.0.0.1", 0))
         listener.settimeout(5)

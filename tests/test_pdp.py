@@ -26,6 +26,7 @@ from ghub.pdp import (
     verify_verdict,
 )
 from ghub.wire import (
+    CALL_FAILURES,
     MAX_FRAME,
     WORKERS,
     ConnectionPool,
@@ -36,6 +37,7 @@ from ghub.wire import (
     _Fanout,
     decode_frame,
     encode_frame,
+    failure_reason,
     request,
     unregister_local,
 )
@@ -607,6 +609,25 @@ def closed_port_endpoint() -> str:
     return f"127.0.0.1:{port}"
 
 
+# How a call to a raw TCP endpoint fails, by what the endpoint answers: the
+# failure's reason, and whether the pool keeps the socket after it.
+FAILED_CALLS = {
+    "hung": (None, "timeout", False),
+    "dropped": (lambda line: b"", "malformed:ProtocolError", False),  # dropped before a reply
+    "garbage": (lambda line: b"not json\n", "malformed:ProtocolError", False),
+    "error-body": (replying({"error": {"code": "Busy", "message": "later"}}), "error:Busy", True),
+    "non-object-error": (replying({"error": "boom"}), "malformed:ProtocolError", True),
+    "oversize": (lambda line: b"x" * (MAX_FRAME + 1), "malformed:FrameTooLarge", False),
+    "wrong-id": (
+        lambda line: encode_frame(Envelope(id="wrong", op="pdp.evaluate", body={})),
+        "malformed:ProtocolError",
+        False,
+    ),
+}
+# and by an endpoint that no server answers on
+NO_SERVER = {"refused": (closed_port_endpoint(), "unreachable"), "unparsable": ("nohost", "malformed:ValueError")}
+
+
 class TestOneRound:
     """A decide's votes are one wire round: every TCP request is written from
     the deciding thread and the replies are read together."""
@@ -643,17 +664,8 @@ class TestOneRound:
 
     @pytest.mark.parametrize(
         "answer, reason, kept",
-        [
-            (None, "timeout", False),
-            (lambda line: b"", "malformed:ProtocolError", False),  # dropped before a reply
-            (lambda line: b"not json\n", "malformed:ProtocolError", False),
-            (replying({"error": {"code": "Busy", "message": "later"}}), "error:Busy", True),
-            (replying({"error": "boom"}), "malformed:ProtocolError", True),
-            (lambda line: b"x" * (MAX_FRAME + 1), "malformed:FrameTooLarge", False),
-            (lambda line: encode_frame(Envelope(id="wrong", op="pdp.evaluate", body={})), "malformed:ProtocolError", False),
-            (replying({"granted": True}), "malformed:KeyError", True),  # not a verdict
-        ],
-        ids=["hung", "dropped", "garbage", "error-body", "non-object-error", "oversize", "wrong-id", "not-a-verdict"],
+        [*FAILED_CALLS.values(), (replying({"granted": True}), "malformed:KeyError", True)],  # not a verdict
+        ids=[*FAILED_CALLS, "not-a-verdict"],
     )
     def test_each_failed_tcp_vote_is_a_deny_naming_its_reason(self, answer, reason, kept):
         pool = ConnectionPool()
@@ -669,14 +681,28 @@ class TestOneRound:
         finally:
             pool.close()
 
-    @pytest.mark.parametrize(
-        "endpoint, reason",
-        [(closed_port_endpoint(), "unreachable"), ("nohost", "malformed:ValueError")],
-        ids=["refused", "unparsable"],
-    )
+    @pytest.mark.parametrize("endpoint, reason", NO_SERVER.values(), ids=NO_SERVER)
     def test_an_endpoint_without_a_server_is_a_deny_naming_its_reason(self, endpoint, reason):
         decision = decide(f"pdp://{endpoint}/p", req(), {}, timeout=0.5)
         assert decision.detail == f"majority: 0/1 grant ({endpoint}:{reason})"
+
+    @pytest.mark.parametrize("answer, reason, kept", FAILED_CALLS.values(), ids=FAILED_CALLS)
+    def test_request_fails_as_the_round_does(self, answer, reason, kept):
+        pool = ConnectionPool()
+        try:
+            with raw_endpoint((lambda line: None) if answer is None else answer) as endpoint:
+                with pytest.raises(CALL_FAILURES) as failed:
+                    request(endpoint, "pdp.evaluate", {}, timeout=0.5, pool=pool)
+            assert failure_reason(failed.value) == reason
+            assert len(pool._idle) == kept
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize("endpoint, reason", NO_SERVER.values(), ids=NO_SERVER)
+    def test_request_to_an_endpoint_without_a_server_fails_as_the_round_does(self, endpoint, reason):
+        with pytest.raises(CALL_FAILURES) as failed:
+            request(endpoint, "pdp.evaluate", {}, timeout=0.5)
+        assert failure_reason(failed.value) == reason
 
     def test_pooled_decides_keep_one_connection_per_replica(self):
         rule = allow_all_rule("p", ttl=300)

@@ -889,14 +889,13 @@ class TestClientConnection:
     @pytest.fixture
     def connects(self, monkeypatch):
         made = []
-        connect = socket.create_connection
+        connect_ex = socket.socket.connect_ex
 
-        def counted(*args, **kwargs):
-            sock = connect(*args, **kwargs)
+        def counted(sock, address):
             made.append(sock)
-            return sock
+            return connect_ex(sock, address)
 
-        monkeypatch.setattr(socket, "create_connection", counted)
+        monkeypatch.setattr(socket.socket, "connect_ex", counted)
         return made
 
     @pytest.fixture

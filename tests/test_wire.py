@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import select
 import socket
 import sys
 import threading
@@ -593,6 +594,41 @@ class TestConnectionPool:
         server.stop()
         caller.join(timeout=5)
         assert replies == [{"n": 1}]
+
+    def test_an_interrupted_call_closes_its_socket_and_pools_nothing(self, monkeypatch):
+        poll = select.poll
+
+        class Interrupted:
+            """A poller whose wait is cut short by Ctrl-C."""
+
+            def __init__(self):
+                self._poller = poll()
+
+            def __getattr__(self, name):
+                return getattr(self._poller, name)
+
+            def poll(self, timeout=None):
+                raise KeyboardInterrupt
+
+        connected = []
+        connect_ex = socket.socket.connect_ex
+
+        def recorded(sock, address):
+            connected.append(sock)
+            return connect_ex(sock, address)
+
+        monkeypatch.setattr(select, "poll", Interrupted)
+        monkeypatch.setattr(socket.socket, "connect_ex", recorded)
+        pool = ConnectionPool()
+        # a listener that never accepts: the connect completes, and no reply ever comes
+        with socket.create_server(("127.0.0.1", 0)) as hung:
+            try:
+                with pytest.raises(KeyboardInterrupt):
+                    call("127.0.0.1:%d" % hung.getsockname()[1], Envelope.request("echo", {}), timeout=2, pool=pool)
+                assert len(connected) == 1 and connected[0].fileno() == -1
+                assert pool._idle == {}
+            finally:
+                pool.close()
 
     def test_one_idle_connection_is_kept_per_endpoint(self):
         callers = 3
